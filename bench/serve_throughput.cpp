@@ -121,7 +121,8 @@ RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
                   "bench job failed: " + r.error);
     switch (r.status) {
       case svc::JobStatus::kOk: ++m.ok; break;
-      case svc::JobStatus::kFailed: ++m.failed; break;
+      case svc::JobStatus::kFailed:
+      case svc::JobStatus::kInvalid: ++m.failed; break;
       case svc::JobStatus::kCancelled: ++m.cancelled; break;
       case svc::JobStatus::kExpired: ++m.expired; break;
       case svc::JobStatus::kRejected: break;

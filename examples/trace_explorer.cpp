@@ -2,7 +2,12 @@
 // render a per-device utilization timeline in the terminal — the tool to see
 // *why* a schedule is fast or slow (main-device stalls, bus contention).
 //
-//   ./trace_explorer [--size 320] [--tile 16] [--csv trace.csv]
+//   ./trace_explorer [--size 320] [--tile 16] [--bins 60]
+//                    [--csv trace.csv] [--svg gantt.svg] [--json trace.json]
+//
+// --json writes Chrome trace-event JSON (Perfetto / chrome://tracing) through
+// obs::TraceLog: pid 0, one tid per device (1 + device id), one "X" span per
+// task with task/k/i/p/j args and derived GFLOP/s.
 #include <algorithm>
 #include <cstdio>
 
@@ -10,6 +15,7 @@
 #include "common/table.hpp"
 #include "core/simulate.hpp"
 #include "dag/tiled_qr_dag.hpp"
+#include "obs/trace_log.hpp"
 #include "runtime/analysis.hpp"
 #include "runtime/gantt.hpp"
 
@@ -42,6 +48,8 @@ int main(int argc, char** argv) {
   const auto result =
       sim::simulate(graph, assign, platform, nt, nt, sopts);
 
+  const runtime::TraceSnapshot events = trace.events();
+
   std::printf("%s\n", plan.summary(platform).c_str());
   std::printf("makespan %.3f ms, %lld tasks, %lld transfers (%.1f KB), "
               "comm share %.1f%%\n\n",
@@ -57,7 +65,7 @@ int main(int argc, char** argv) {
   std::vector<int> slots;
   for (int d = 0; d < platform.num_devices(); ++d)
     slots.push_back(platform.device(d).slots);
-  const auto util = runtime::utilization_timeline(trace, slots, bins);
+  const auto util = runtime::utilization_timeline(events, slots, bins);
   for (int d = 0; d < platform.num_devices(); ++d)
     std::printf("%-12s |%s|\n", platform.device(d).name.c_str(),
                 runtime::utilization_row(util[d]).c_str());
@@ -66,7 +74,7 @@ int main(int argc, char** argv) {
   std::printf("\ncritical-path share by device: ");
   for (int d = 0; d < platform.num_devices(); ++d)
     std::printf("%s %.0f%%  ", platform.device(d).name.c_str(),
-                runtime::critical_path_share(trace, graph, d) * 100);
+                runtime::critical_path_share(events, graph, d) * 100);
   std::printf("\n");
 
   // Per-step busy breakdown.
@@ -89,7 +97,7 @@ int main(int argc, char** argv) {
     gopts.max_events = 200000;
     FILE* f = std::fopen(svg_path.c_str(), "w");
     if (f) {
-      const std::string svg = runtime::render_gantt_svg(trace, gopts);
+      const std::string svg = runtime::render_gantt_svg(events, gopts);
       std::fwrite(svg.data(), 1, svg.size(), f);
       std::fclose(f);
       std::printf("\n(gantt svg written to %s)\n", svg_path.c_str());
@@ -99,7 +107,13 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f) {
-      const std::string json = trace.to_chrome_json();
+      obs::TraceLog log(events.size() + 1 + platform.num_devices());
+      log.process_name(0, "simulated run");
+      for (int d = 0; d < platform.num_devices(); ++d)
+        log.thread_name(0, 1 + d, platform.device(d).name);
+      obs::append_task_events(log, events, graph, b, /*pid=*/0,
+                              /*offset_s=*/0);
+      const std::string json = log.to_json();
       std::fwrite(json.data(), 1, json.size(), f);
       std::fclose(f);
       std::printf("(chrome trace written to %s)\n", json_path.c_str());
@@ -107,7 +121,6 @@ int main(int argc, char** argv) {
   }
   const std::string path = cli.get_string("csv", "");
   if (!path.empty()) {
-    Table dummy({"x"});
     FILE* f = std::fopen(path.c_str(), "w");
     if (f) {
       const std::string csv = trace.to_csv();

@@ -41,8 +41,9 @@ sim::Platform make_cluster_platform(int nodes, int gpus,
 
 bool indicts_node(svc::JobStatus status) {
   // Outcomes that blame the node: execution failure, corruption, or a
-  // bounced submission. Cancels and deadline expirations are the caller's
-  // (or the clock's) doing and neither feed health nor trigger failover.
+  // bounced submission. Cancels, deadline expirations and invalid input are
+  // the caller's (or the clock's) doing and neither feed health nor trigger
+  // failover.
   return status == svc::JobStatus::kFailed ||
          status == svc::JobStatus::kCorrupted ||
          status == svc::JobStatus::kRejected;

@@ -129,8 +129,8 @@ class NodeHealthTracker {
   NodeHealthTracker(int nodes, const NodeHealthConfig& config);
 
   /// Feeds one terminal job outcome. `bad` = the outcome indicts the node
-  /// (kFailed, kCorrupted, or a rejection); cancels and expirations are the
-  /// caller's doing and must not be fed here.
+  /// (kFailed, kCorrupted, or a rejection); cancels, expirations and
+  /// invalid input are the caller's doing and must not be fed here.
   void record(int node, bool bad, double now_s);
 
   /// True while the node's breaker keeps it out of rotation: open and not

@@ -1,7 +1,9 @@
 #include "core/batched_qr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -109,14 +111,24 @@ double BatchedQr<T>::residual(la::index_t p, const la::Matrix<T>& a) const {
     for (la::index_t i = 0; i <= (j < m ? j : m - 1); ++i)
       qr(i, j) = fac(i, j);
   apply_q_dense(fac, tau, qr, /*transpose=*/false);
+  // Both norms are taken on entries divided by max |A|, so inputs near the
+  // overflow or underflow threshold neither overflow nor flush to zero; a
+  // non-finite factor reads +Inf, never 0 or NaN.
+  double amax = 0;
+  for (la::index_t j = 0; j < n; ++j)
+    for (la::index_t i = 0; i < m; ++i)
+      amax = std::max(amax, std::abs(static_cast<double>(a(i, j))));
+  if (amax == 0) amax = 1;
   double diff2 = 0, ref2 = 0;
   for (la::index_t j = 0; j < n; ++j)
     for (la::index_t i = 0; i < m; ++i) {
-      const double d = static_cast<double>(qr(i, j)) - a(i, j);
+      const double d = (static_cast<double>(qr(i, j)) - a(i, j)) / amax;
+      const double r = static_cast<double>(a(i, j)) / amax;
       diff2 += d * d;
-      ref2 += static_cast<double>(a(i, j)) * a(i, j);
+      ref2 += r * r;
     }
-  return ref2 > 0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
+  const double res = ref2 > 0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
+  return std::isfinite(res) ? res : std::numeric_limits<double>::infinity();
 }
 
 template class BatchedQr<double>;

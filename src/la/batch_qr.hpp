@@ -22,15 +22,18 @@
 //
 // Numerics: the per-lane Householder recipe matches la::detail::larfg except
 // that the column norm is sqrt(sum of squares) rather than hypot-accumulated,
-// because the latter serializes the lane loop. For the |a_ij| <= O(1),
-// rows <= a few hundred regime this engine targets, the difference is a few
-// ulps; parity with the single-matrix path is within verify tolerance, not
-// bitwise.
+// because the latter serializes the lane loop. A lane whose sum of squares
+// overflows or underflows the normal range recomputes its norm scaled by the
+// column's max |a| (detail::rescale_column_norms), so scaled inputs factor
+// as accurately as unscaled ones. Parity with the single-matrix path is
+// within verify tolerance, not bitwise.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "la/matrix.hpp"
@@ -136,18 +139,62 @@ class BatchMatrix {
 
 namespace batch {
 
+namespace detail {
+
+/// True when a sum of squares is a finite normal number, i.e. squaring lost
+/// neither the whole value (overflow) nor its precision (underflow).
+template <typename T>
+inline bool normal_sum(T s) {
+  return s >= std::numeric_limits<T>::min() &&
+         s <= std::numeric_limits<T>::max();
+}
+
+/// Recomputes the column-k norm of each lane whose sum of squares left the
+/// normal range (overflow to Inf, or underflow below the smallest normal):
+/// entries are scaled by the lane's max |a(k:m, k)| before squaring, as in
+/// LAPACK's dnrm2. xnorm2 gets the scaled sub-diagonal sum, which is only
+/// tested against zero afterwards.
+template <typename T>
+void rescale_column_norms(index_t m, index_t k, const T* a, const T* sumsq,
+                          T* xnorm2, T* norm) {
+  constexpr index_t W = batch_width<T>();
+  auto at = [&](index_t i, index_t w) {
+    return a[(static_cast<std::size_t>(k) * m + i) * W + w];
+  };
+  for (index_t w = 0; w < W; ++w) {
+    if (normal_sum(sumsq[w])) continue;
+    T amax = 0;
+    for (index_t i = k; i < m; ++i) amax = std::max(amax, std::abs(at(i, w)));
+    if (amax == T(0)) {  // zero column, e.g. a pad lane
+      xnorm2[w] = T(0);
+      norm[w] = T(0);
+      continue;
+    }
+    T sub = 0;
+    for (index_t i = k + 1; i < m; ++i) {
+      const T v = at(i, w) / amax;
+      sub += v * v;
+    }
+    const T alpha = at(k, w) / amax;
+    xnorm2[w] = sub;
+    norm[w] = amax * std::sqrt(alpha * alpha + sub);
+  }
+}
+
+}  // namespace detail
+
 /// In-place Householder QR of every lane in one chunk. On return the upper
 /// triangle of each lane holds its R, the strict lower triangle holds the
 /// reflector vectors V (unit diagonal implied), and tau[k*W + w] holds lane
 /// w's k-th Householder scalar. Zero lanes (padding) produce tau = 0
-/// throughout — the identity — with no special casing.
+/// throughout — the identity.
 template <typename T>
 void qr_factor_chunk(index_t m, index_t n, T* a, T* tau) {
   constexpr index_t W = batch_width<T>();
   auto col = [&](index_t i, index_t j) {
     return a + (static_cast<std::size_t>(j) * m + i) * W;
   };
-  alignas(64) T xnorm2[W], tk[W], scale[W], wacc[W];
+  alignas(64) T xnorm2[W], sumsq[W], norm[W], tk[W], scale[W], wacc[W];
   for (index_t k = 0; k < n; ++k) {
     for (index_t w = 0; w < W; ++w) xnorm2[w] = T(0);
     for (index_t i = k + 1; i < m; ++i) {
@@ -156,10 +203,16 @@ void qr_factor_chunk(index_t m, index_t n, T* a, T* tau) {
     }
     T* akk = col(k, k);
     T* tauk = tau + static_cast<std::size_t>(k) * W;
+    bool rescale = false;
+    for (index_t w = 0; w < W; ++w) {
+      sumsq[w] = akk[w] * akk[w] + xnorm2[w];
+      norm[w] = std::sqrt(sumsq[w]);
+      rescale |= !detail::normal_sum(sumsq[w]);
+    }
+    if (rescale) detail::rescale_column_norms(m, k, a, sumsq, xnorm2, norm);
     for (index_t w = 0; w < W; ++w) {
       const T alpha = akk[w];
-      const T norm = std::sqrt(alpha * alpha + xnorm2[w]);
-      const T beta = alpha >= T(0) ? -norm : norm;
+      const T beta = alpha >= T(0) ? -norm[w] : norm[w];
       // Dead column: H_k = I. The guarded divisions produce values the
       // selects below discard (IEEE, no traps).
       const bool live = xnorm2[w] > T(0);

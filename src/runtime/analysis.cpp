@@ -34,11 +34,6 @@ std::vector<std::vector<double>> utilization_timeline(
   return out;
 }
 
-std::vector<std::vector<double>> utilization_timeline(
-    const Trace& trace, const std::vector<int>& slots_per_device, int bins) {
-  return utilization_timeline(trace.events(), slots_per_device, bins);
-}
-
 std::string utilization_row(const std::vector<double>& bins) {
   std::string row;
   row.reserve(bins.size());
@@ -69,11 +64,6 @@ std::vector<PanelStat> per_panel_stats(const TraceSnapshot& events,
   return stats;
 }
 
-std::vector<PanelStat> per_panel_stats(const Trace& trace,
-                                       const dag::TaskGraph& graph) {
-  return per_panel_stats(trace.events(), graph);
-}
-
 std::vector<dag::task_id> realized_critical_path(const TraceSnapshot& events,
                                                  const dag::TaskGraph& graph) {
   TQR_REQUIRE(events.size() == graph.size(), "trace must cover every task");
@@ -99,11 +89,6 @@ std::vector<dag::task_id> realized_critical_path(const TraceSnapshot& events,
   return path;
 }
 
-std::vector<dag::task_id> realized_critical_path(const Trace& trace,
-                                                 const dag::TaskGraph& graph) {
-  return realized_critical_path(trace.events(), graph);
-}
-
 double critical_path_share(const TraceSnapshot& events,
                            const dag::TaskGraph& graph, int device) {
   const auto path = realized_critical_path(events, graph);
@@ -120,11 +105,6 @@ double critical_path_share(const TraceSnapshot& events,
   for (dag::task_id t : path)
     if (dev_of[t] == device) share += dur[t];
   return share / makespan;
-}
-
-double critical_path_share(const Trace& trace, const dag::TaskGraph& graph,
-                           int device) {
-  return critical_path_share(trace.events(), graph, device);
 }
 
 }  // namespace tqr::runtime

@@ -1,10 +1,7 @@
 // Schedule analysis over execution traces: utilization timelines, per-panel
 // breakdowns, and critical-path extraction. Works identically on traces from
-// the real executor and the simulator.
-//
-// Every analysis has two forms: the primary one over a TraceSnapshot (one
-// consistent copy of the events, reusable across several analyses) and a
-// convenience overload over a live Trace that snapshots once and delegates.
+// the real executor and the simulator. Each analysis takes a TraceSnapshot
+// (Trace::events()), so one consistent copy serves several analyses.
 #pragma once
 
 #include <string>
@@ -20,8 +17,6 @@ namespace tqr::runtime {
 std::vector<std::vector<double>> utilization_timeline(
     const TraceSnapshot& events, const std::vector<int>& slots_per_device,
     int bins);
-std::vector<std::vector<double>> utilization_timeline(
-    const Trace& trace, const std::vector<int>& slots_per_device, int bins);
 
 /// Renders one device's utilization row as a terminal string
 /// ('#' > 0.75, '+' > 0.25, '.' > 0, ' ' idle).
@@ -38,8 +33,6 @@ struct PanelStat {
 };
 std::vector<PanelStat> per_panel_stats(const TraceSnapshot& events,
                                        const dag::TaskGraph& graph);
-std::vector<PanelStat> per_panel_stats(const Trace& trace,
-                                       const dag::TaskGraph& graph);
 
 /// Extracts the realized critical path: walks back from the last-finishing
 /// task through, at each step, the predecessor that finished latest.
@@ -47,14 +40,10 @@ std::vector<PanelStat> per_panel_stats(const Trace& trace,
 /// task in the graph.
 std::vector<dag::task_id> realized_critical_path(const TraceSnapshot& events,
                                                  const dag::TaskGraph& graph);
-std::vector<dag::task_id> realized_critical_path(const Trace& trace,
-                                                 const dag::TaskGraph& graph);
 
 /// Share of the makespan covered by `device`'s busy time on the realized
 /// critical path — how much of the run one device's serial work explains.
 double critical_path_share(const TraceSnapshot& events,
                            const dag::TaskGraph& graph, int device);
-double critical_path_share(const Trace& trace, const dag::TaskGraph& graph,
-                           int device);
 
 }  // namespace tqr::runtime

@@ -95,8 +95,4 @@ std::string render_gantt_svg(const TraceSnapshot& events,
   return os.str();
 }
 
-std::string render_gantt_svg(const Trace& trace, const GanttOptions& options) {
-  return render_gantt_svg(trace.events(), options);
-}
-
 }  // namespace tqr::runtime

@@ -22,8 +22,5 @@ struct GanttOptions {
 /// Renders the events as a standalone SVG document.
 std::string render_gantt_svg(const TraceSnapshot& events,
                              const GanttOptions& options = {});
-/// Convenience overload: snapshots the live trace once and delegates.
-std::string render_gantt_svg(const Trace& trace,
-                             const GanttOptions& options = {});
 
 }  // namespace tqr::runtime

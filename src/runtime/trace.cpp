@@ -4,56 +4,6 @@
 
 namespace tqr::runtime {
 
-std::vector<double> Trace::busy_per_device(int num_devices) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<double> busy(num_devices, 0.0);
-  for (const auto& e : events_)
-    if (e.kind == TraceEvent::Kind::kTask && e.device >= 0 &&
-        e.device < num_devices)
-      busy[e.device] += e.end_s - e.start_s;
-  return busy;
-}
-
-std::vector<double> Trace::busy_per_step() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<double> busy(4, 0.0);
-  for (const auto& e : events_) {
-    if (e.kind != TraceEvent::Kind::kTask) continue;
-    busy[static_cast<std::size_t>(dag::step_of(e.op))] += e.end_s - e.start_s;
-  }
-  return busy;
-}
-
-std::string Trace::to_chrome_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& e : events_) {
-    if (!first) os << ',';
-    first = false;
-    if (e.kind == TraceEvent::Kind::kTask) {
-      os << "{\"name\":\"" << dag::op_name(e.op) << "\",\"cat\":\""
-         << dag::step_name(dag::step_of(e.op)) << "\",\"ph\":\"X\",\"ts\":"
-         << e.start_s * 1e6 << ",\"dur\":" << (e.end_s - e.start_s) * 1e6
-         << ",\"pid\":" << e.device << ",\"tid\":" << e.device
-         << ",\"args\":{\"task\":" << e.task << "}}";
-    } else {
-      // Dropped tasks render as instants so a cancelled run's timeline
-      // still accounts for every dispatched task.
-      const char* what =
-          e.kind == TraceEvent::Kind::kCancelled ? "cancelled" : "drained";
-      os << "{\"name\":\"" << what << ' ' << dag::op_name(e.op)
-         << "\",\"cat\":\"drop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-         << e.start_s * 1e6 << ",\"pid\":" << e.device
-         << ",\"tid\":" << e.device << ",\"args\":{\"task\":" << e.task
-         << "}}";
-    }
-  }
-  os << "]}";
-  return os.str();
-}
-
 std::string Trace::to_csv() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;

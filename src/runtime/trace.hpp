@@ -32,14 +32,13 @@ struct TraceEvent {
 
 /// One consistent copy of a trace's events. Every consumer (analysis, gantt,
 /// the obs trace bridge) takes this: callers snapshot once via
-/// Trace::events() and fan the same copy out, instead of each entry point
-/// re-copying the locked vector.
+/// Trace::events() and fan the same copy out.
 using TraceSnapshot = std::vector<TraceEvent>;
 
-/// Thread-safe append-only event collector. Readers (events(), the busy
-/// accountings, the CSV/JSON dumps) take the same lock as record(), so they
-/// can run concurrently with an in-flight execution and still see a
-/// consistent snapshot.
+/// Thread-safe append-only event collector. Readers (events(), the CSV
+/// dump) take the same lock as record(), so they can run concurrently with
+/// an in-flight execution and still see a consistent snapshot. Chrome trace
+/// JSON is written by obs::append_task_events over an events() snapshot.
 class Trace {
  public:
   void record(const TraceEvent& e) {
@@ -71,19 +70,8 @@ class Trace {
     return events_.size();
   }
 
-  /// Busy seconds per device id (index = device).
-  std::vector<double> busy_per_device(int num_devices) const;
-
-  /// Busy seconds per paper step (T/E/UT/UE).
-  std::vector<double> busy_per_step() const;
-
   /// CSV dump: task,op,step,device,start,end.
   std::string to_csv() const;
-
-  /// Chrome tracing JSON (chrome://tracing / Perfetto "traceEvents" array):
-  /// one complete event per task, device as pid/tid, microsecond
-  /// timestamps. Load the file directly in a trace viewer.
-  std::string to_chrome_json() const;
 
  private:
   mutable std::mutex mutex_;

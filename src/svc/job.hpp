@@ -22,6 +22,8 @@ enum class JobStatus : std::uint8_t {
   kFailed,     // factorization threw; see error
   kCancelled,  // aborted mid-run: caller cancel, exec deadline, or shutdown
   kCorrupted,  // every attempt produced factors that failed verification
+  kInvalid,    // caller error caught at submit (non-finite entry, or an fp32
+               // job whose entries overflow float); never queued or retried
 };
 
 inline const char* to_string(JobStatus s) {
@@ -32,6 +34,7 @@ inline const char* to_string(JobStatus s) {
     case JobStatus::kFailed: return "failed";
     case JobStatus::kCancelled: return "cancelled";
     case JobStatus::kCorrupted: return "corrupted";
+    case JobStatus::kInvalid: return "invalid";
   }
   return "?";
 }
@@ -142,7 +145,7 @@ struct JobResult {
   std::uint64_t id = 0;   // service-assigned, dense from 1
   std::uint64_t tag = 0;  // echoed from the spec
   JobStatus status = JobStatus::kFailed;
-  std::string error;  // set when status == kFailed / kCorrupted
+  std::string error;  // set when status == kFailed / kCorrupted / kInvalid
 
   la::index_t rows = 0, cols = 0;  // original (unpadded) shape
   int tile_size = 0;

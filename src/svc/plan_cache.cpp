@@ -4,24 +4,6 @@
 
 namespace tqr::svc {
 
-std::uint64_t platform_fingerprint(const sim::Platform& platform) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over config fields
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(static_cast<std::uint64_t>(platform.num_devices()));
-  for (int d = 0; d < platform.num_devices(); ++d) {
-    const auto& dev = platform.device(d);
-    mix(static_cast<std::uint64_t>(dev.kind));
-    mix(static_cast<std::uint64_t>(dev.cores));
-    mix(static_cast<std::uint64_t>(dev.slots));
-    mix(static_cast<std::uint64_t>(platform.node(d)));
-    for (char c : dev.name) mix(static_cast<std::uint64_t>(c));
-  }
-  return h;
-}
-
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
   TQR_REQUIRE(capacity > 0, "plan cache needs capacity >= 1");
 }

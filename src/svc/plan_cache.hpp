@@ -1,5 +1,5 @@
-// Memoization of the planning pipeline: (shape, tile, elimination, device
-// config) -> { core::Plan, dag::TaskGraph }.
+// Memoization of the planning pipeline: (shape, tile, elimination, inner
+// block) -> { core::Plan, dag::TaskGraph }.
 //
 // Planning a factorization re-runs Algorithms 2-4 and rebuilds the task DAG
 // with full dependence analysis — fixed cost that is identical for every job
@@ -19,13 +19,11 @@
 
 #include "core/plan.hpp"
 #include "dag/graph.hpp"
-#include "sim/platform.hpp"
 
 namespace tqr::svc {
 
-/// Identity of a plannable request. platform_hash folds in the device
-/// configuration so one cache can serve services on different platforms
-/// without aliasing.
+/// Identity of a plannable request. The platform is not part of the key:
+/// each QrService owns its cache and plans for its one platform.
 struct PlanKey {
   la::index_t rows = 0;  // padded (tile-aligned) dimensions
   la::index_t cols = 0;
@@ -36,7 +34,6 @@ struct PlanKey {
   /// share a cached plan (the plan's config records ib; execution reads it
   /// back from there).
   la::index_t inner_block = 0;
-  std::uint64_t platform_hash = 0;
 
   bool operator==(const PlanKey&) const = default;
 };
@@ -53,13 +50,9 @@ struct PlanKeyHash {
     mix(static_cast<std::uint64_t>(k.tile_size));
     mix(static_cast<std::uint64_t>(k.elim));
     mix(static_cast<std::uint64_t>(k.inner_block));
-    mix(k.platform_hash);
     return static_cast<std::size_t>(h);
   }
 };
-
-/// Stable fingerprint of a platform's scheduling-relevant configuration.
-std::uint64_t platform_fingerprint(const sim::Platform& platform);
 
 /// Everything planning produces for one shape.
 struct PlanEntry {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -31,6 +32,33 @@ void load_padded(la::TiledMatrix<double>& dst,
       dst.at(i, j) = (i < src.rows && j < src.cols) ? src(i, j) : 0.0;
   for (la::index_t d = 0; d + src.cols < pc && d + src.rows < pr; ++d)
     dst.at(src.rows + d, src.cols + d) = 1.0;
+}
+
+/// Caller-error screen run at submit, one pass over the input: a non-finite
+/// entry can never factor to a valid R, and an fp32 job with an entry
+/// beyond the float range would turn it into Inf when narrowed. Returns why
+/// the spec is invalid, or an empty string.
+std::string invalid_input(const JobSpec& spec) {
+  const double limit = spec.precision == Precision::kFp32
+                           ? std::numeric_limits<float>::max()
+                           : std::numeric_limits<double>::max();
+  auto scan = [limit](const la::Matrix<double>& m) -> std::string {
+    for (la::index_t j = 0; j < m.cols(); ++j)
+      for (la::index_t i = 0; i < m.rows(); ++i)
+        if (!(std::abs(m(i, j)) <= limit))
+          return std::string(std::isfinite(m(i, j))
+                                 ? "entry out of fp32 range"
+                                 : "non-finite entry") +
+                 " at (" + std::to_string(i) + ", " + std::to_string(j) +
+                 ")";
+    return {};
+  };
+  std::string why = scan(spec.a);
+  for (std::size_t p = 0; why.empty() && p < spec.batch.size(); ++p) {
+    why = scan(spec.batch[p]);
+    if (!why.empty()) why = "batch member " + std::to_string(p) + ": " + why;
+  }
+  return why.empty() ? why : "invalid input: " + why;
 }
 
 la::index_t round_up(la::index_t n, la::index_t b) {
@@ -75,6 +103,7 @@ QrService::Metrics::Metrics(obs::Registry& r)
       cancelled(r.counter("jobs.cancelled")),
       retried(r.counter("jobs.retried")),
       corrupted(r.counter("jobs.corrupted")),
+      invalid(r.counter("jobs.invalid")),
       verify_failures(r.counter("verify.failures")),
       lane_quarantines(r.counter("lane.quarantines")),
       lane_probations(r.counter("lane.probations")),
@@ -154,7 +183,6 @@ QrService::QrService(const ServiceConfig& config)
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
   TQR_REQUIRE(config.probation_s >= 0, "probation_s must be >= 0");
-  platform_hash_ = platform_fingerprint(platform_);
   lane_health_.resize(static_cast<std::size_t>(config.lanes));
   if (config.fault.mode != FaultConfig::Mode::kNone)
     fault_ = std::make_unique<FaultInjector>(config.fault);
@@ -200,34 +228,49 @@ QrService::~QrService() {
   for (auto& lane : lanes_) lane.join();
 }
 
+std::future<JobResult> QrService::resolve_at_door(const JobSpec& spec,
+                                                  JobStatus status,
+                                                  std::string error,
+                                                  std::uint64_t* id_out) {
+  JobResult result;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) throw Error("QrService::submit after shutdown");
+    result.id = next_id_++;
+    metrics_.submitted.inc();
+  }
+  if (id_out) *id_out = result.id;
+  result.tag = spec.tag;
+  result.rows = spec.a.rows();
+  result.cols = spec.a.cols();
+  result.status = status;
+  result.error = std::move(error);
+  if (status == JobStatus::kInvalid) metrics_.invalid.inc();
+  else metrics_.rejected.inc();
+  std::promise<JobResult> promise;
+  std::future<JobResult> future = promise.get_future();
+  promise.set_value(std::move(result));
+  return future;
+}
+
 std::future<JobResult> QrService::submit(JobSpec spec,
                                          std::uint64_t* id_out) {
+  // A caller error resolves at once: it is never queued or retried, and it
+  // never reaches a lane, so it cannot count against lane (or, through the
+  // cluster, node) health.
+  if (std::string why = invalid_input(spec); !why.empty())
+    return resolve_at_door(spec, JobStatus::kInvalid, std::move(why), id_out);
   // A crashed or reject-storming node bounces at the door: the job never
   // enters the queue, the future resolves immediately, and the caller (the
   // cluster's failover layer, a load generator) can route elsewhere.
   if (node_fault_ && node_fault_->rejecting(clock_.seconds())) {
-    JobResult bounced;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) throw Error("QrService::submit after shutdown");
-      bounced.id = next_id_++;
-      metrics_.submitted.inc();
-    }
-    if (id_out) *id_out = bounced.id;
-    bounced.tag = spec.tag;
-    bounced.rows = spec.a.rows();
-    bounced.cols = spec.a.cols();
-    bounced.status = JobStatus::kRejected;
-    bounced.error = node_fault_->crashed(clock_.seconds())
-                        ? "node down: injected crash"
-                        : "node rejecting: injected reject storm";
     node_fault_->count_injection();
-    metrics_.rejected.inc();
     metrics_.node_rejects.inc();
-    std::promise<JobResult> promise;
-    std::future<JobResult> future = promise.get_future();
-    promise.set_value(std::move(bounced));
-    return future;
+    return resolve_at_door(spec, JobStatus::kRejected,
+                           node_fault_->crashed(clock_.seconds())
+                               ? "node down: injected crash"
+                               : "node rejecting: injected reject storm",
+                           id_out);
   }
 
   PendingJob job;
@@ -354,6 +397,7 @@ void QrService::lane_main(int lane) {
       case JobStatus::kRejected: metrics_.rejected.inc(); break;
       case JobStatus::kCancelled: metrics_.cancelled.inc(); break;
       case JobStatus::kCorrupted: metrics_.corrupted.inc(); break;
+      case JobStatus::kInvalid: metrics_.invalid.inc(); break;
     }
     if (status == JobStatus::kOk) metrics_.job_s.observe(total_s);
     {
@@ -614,8 +658,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const la::index_t pc = round_up(a.cols(), b);
 
   // Plan + DAG: cached per shape.
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block,
-              platform_hash_};
+  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block};
   auto build = [&]() -> PlanEntry {
     core::PlanConfig pc_cfg;
     pc_cfg.tile_size = b;
@@ -890,7 +933,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       z(i, 0) = s;
     }
     core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te, z.view(),
-                                la::Trans::kNoTrans, ib);
+                                la::Trans::kNoTrans);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
       double s = 0;
@@ -914,7 +957,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       for (la::index_t i = 0; i <= j && i < pr; ++i)
         qr(i, j) = ws->a.at(i, j);
     core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te,
-                                qr.view(), la::Trans::kNoTrans, ib);
+                                qr.view(), la::Trans::kNoTrans);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {
@@ -970,7 +1013,7 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   result.batch_r.assign(static_cast<std::size_t>(count),
                         la::Matrix<double>());
 
-  // One PlanCache touch per batch — the same (shape, tile, elim, platform)
+  // One PlanCache touch per batch — the same (shape, tile, elim, ib)
   // key a single job of this shape uses. The interleaved engine needs no
   // task graph, but resolving the entry here (a) makes plan_cache_hit mean
   // the same thing for both job kinds, (b) amortizes to one lookup per
@@ -979,7 +1022,7 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   // re-checking one member) would otherwise build.
   const la::index_t pr = round_up(m, b);
   const la::index_t pc = round_up(n, b);
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block, platform_hash_};
+  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block};
   auto build = [&]() -> PlanEntry {
     core::PlanConfig pc_cfg;
     pc_cfg.tile_size = b;
@@ -1236,6 +1279,7 @@ ServiceStats QrService::stats() const {
   s.jobs_cancelled = metrics_.cancelled.value();
   s.jobs_retried = metrics_.retried.value();
   s.jobs_corrupted = metrics_.corrupted.value();
+  s.jobs_invalid = metrics_.invalid.value();
   s.verify_failures = metrics_.verify_failures.value();
   s.lane_quarantines = metrics_.lane_quarantines.value();
   s.lane_probations = metrics_.lane_probations.value();

@@ -152,7 +152,9 @@ class QrService {
 
   /// Submits a job. Blocks when the queue is full under Admission::kBlock;
   /// under kReject the returned future resolves immediately with
-  /// JobStatus::kRejected. Throws tqr::Error after shutdown began.
+  /// JobStatus::kRejected. A job with a non-finite entry, or an fp32 job
+  /// whose entries overflow float, resolves immediately with
+  /// JobStatus::kInvalid. Throws tqr::Error after shutdown began.
   /// `id_out` (optional) receives the service-assigned job id before the
   /// call returns — the handle cancel() takes.
   std::future<JobResult> submit(JobSpec spec, std::uint64_t* id_out = nullptr);
@@ -216,6 +218,11 @@ class QrService {
   bool quarantine_gate(int lane);
   /// Feeds one terminal job status into the lane's breaker; mutex_ held.
   void update_lane_health_locked(int lane, JobStatus status);
+  /// Resolves a job that never enters the queue (kInvalid or kRejected):
+  /// assigns its id, counts it, and returns an already-ready future.
+  std::future<JobResult> resolve_at_door(const JobSpec& spec,
+                                         JobStatus status, std::string error,
+                                         std::uint64_t* id_out);
   JobResult process(LaneEngine& engine, int lane, PendingJob job,
                     JobControl& control);
   void run_attempt(LaneEngine& engine, const PendingJob& job,
@@ -228,7 +235,6 @@ class QrService {
 
   ServiceConfig config_;
   sim::Platform platform_;
-  std::uint64_t platform_hash_ = 0;
 
   Timer clock_;
   JobQueue queue_;
@@ -250,6 +256,7 @@ class QrService {
     obs::Counter& cancelled;
     obs::Counter& retried;
     obs::Counter& corrupted;
+    obs::Counter& invalid;
     obs::Counter& verify_failures;
     obs::Counter& lane_quarantines;
     obs::Counter& lane_probations;

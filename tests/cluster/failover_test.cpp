@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +81,27 @@ TEST(Failover, ResubmitsAfterMidRunNodeCrash) {
   EXPECT_TRUE(found);
   const std::string trace = c.trace_json();
   EXPECT_NE(trace.find("\"failover\""), std::string::npos);
+}
+
+TEST(Failover, CallerErrorNeitherFailsOverNorIndictsANode) {
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.policy = RouterPolicy::kRoundRobin;
+  cfg.max_node_attempts = 2;
+  cfg.health.breaker_after = 1;
+  Cluster c(cfg);
+  for (int i = 0; i < 4; ++i) {
+    svc::JobSpec spec = job(64, 40 + i);
+    spec.a(i, i) = std::nan("");
+    spec.verify = svc::Verify::kScan;
+    const auto r = c.submit(std::move(spec)).future.get();
+    EXPECT_EQ(r.status, svc::JobStatus::kInvalid) << r.error;
+  }
+  c.drain();
+  const auto s = c.stats();
+  EXPECT_EQ(s.failovers, 0u);
+  EXPECT_EQ(s.node_quarantines, 0u);
+  for (double rate : s.node_failure_rate) EXPECT_DOUBLE_EQ(rate, 0.0);
 }
 
 TEST(Failover, SingleNodeHasNoTargetAndKeepsTerminalFailure) {

@@ -18,11 +18,26 @@ namespace {
 
 template <typename T>
 std::vector<Matrix<T>> random_batch(index_t m, index_t n, int count,
-                                    std::uint64_t seed) {
+                                    std::uint64_t seed, double scale = 1) {
   std::vector<Matrix<T>> out;
-  for (int p = 0; p < count; ++p)
+  for (int p = 0; p < count; ++p) {
     out.push_back(Matrix<T>::random(m, n, seed + static_cast<std::uint64_t>(p)));
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i)
+        out.back()(i, j) = static_cast<T>(out.back()(i, j) * scale);
+  }
   return out;
+}
+
+/// Divides the R part (upper triangle) of in-place V/R storage by `scale`,
+/// so factors of a scaled input compare at unit magnitude. V is scale
+/// invariant and stays as is.
+template <typename T>
+Matrix<T> unscale_r(Matrix<T> vr, double scale) {
+  for (index_t j = 0; j < vr.cols(); ++j)
+    for (index_t i = 0; i <= j && i < vr.rows(); ++i)
+      vr(i, j) = static_cast<T>(vr(i, j) / scale);
+  return vr;
 }
 
 /// Factors one problem with the scalar reference path (geqrt_unblocked's
@@ -61,10 +76,12 @@ TEST(BatchMatrix, LoadExtractRoundTripsEveryLane) {
 
 struct ParityCase {
   int m, n, count;
+  double scale = 1;  // every entry is multiplied by this
 };
 
 void PrintTo(const ParityCase& c, std::ostream* os) {
   *os << c.m << "x" << c.n << "/b" << c.count;
+  if (c.scale != 1) *os << "/s" << c.scale;
 }
 
 class BatchedParity : public ::testing::TestWithParam<ParityCase> {};
@@ -73,7 +90,7 @@ TEST_P(BatchedParity, MatchesScalarKernelPerProblem) {
   const auto c = GetParam();
   const auto problems =
       random_batch<double>(c.m, c.n, c.count,
-                           100 + static_cast<std::uint64_t>(c.m));
+                           100 + static_cast<std::uint64_t>(c.m), c.scale);
   const auto f = core::BatchedQr<double>::factor(problems);
   const double tol = verify_tolerance<double>(c.m + c.n);
   for (int p = 0; p < c.count; ++p) {
@@ -82,7 +99,9 @@ TEST_P(BatchedParity, MatchesScalarKernelPerProblem) {
     Matrix<double> got(c.m, c.n);
     f.factors().extract(static_cast<index_t>(p), got.view());
     // The two recipes agree to rounding, not bitwise (sqrt vs hypot norms).
-    EXPECT_LT(relative_error<double>(got.view(), vr.view()), tol)
+    EXPECT_LT(relative_error<double>(unscale_r(got, c.scale).view(),
+                                     unscale_r(vr, c.scale).view()),
+              tol)
         << "problem " << p;
     Matrix<double> got_tau(c.n, 1);
     f.tau().extract(static_cast<index_t>(p), got_tau.view());
@@ -94,35 +113,52 @@ TEST_P(BatchedParity, MatchesScalarKernelPerProblem) {
                          problems[static_cast<std::size_t>(p)]),
               tol)
         << "problem " << p;
+    // ... which must flag a wrong factor at every scale, never reading 0.
+    Matrix<double> wrong = problems[static_cast<std::size_t>(p)];
+    wrong(c.m - 1, 0) += c.scale;
+    EXPECT_GT(f.residual(static_cast<index_t>(p), wrong), tol)
+        << "problem " << p;
   }
 }
 
 // Sizes straddle the SIMD width (4/5/7/8/12/16/33/64), tall shapes included;
 // batch counts of 1, 3, and 64 cover a lone lane, a partial chunk, and many
-// full chunks.
+// full chunks. The scaled cases put the sum of squares past the overflow
+// (1e155) and underflow (1e-155, 1e-160, 1e-300) thresholds of double.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchedParity,
     ::testing::Values(ParityCase{4, 4, 3}, ParityCase{5, 5, 3},
                       ParityCase{7, 7, 1}, ParityCase{8, 8, 64},
                       ParityCase{12, 8, 3}, ParityCase{16, 16, 3},
                       ParityCase{33, 33, 3}, ParityCase{64, 64, 3},
-                      ParityCase{48, 12, 64}));
+                      ParityCase{48, 12, 64}, ParityCase{16, 16, 3, 1e155},
+                      ParityCase{16, 16, 3, 1e-155},
+                      ParityCase{16, 16, 3, 1e-160},
+                      ParityCase{16, 16, 3, 1e-300},
+                      ParityCase{48, 12, 11, 1e155}));
 
 TEST(BatchedQr, Fp32ParityWithinFloatTolerance) {
-  const auto problems = random_batch<float>(16, 16, 11, 500);
-  const auto f = core::BatchedQr<float>::factor(problems);
-  const double tol = verify_tolerance<float>(32);
-  for (int p = 0; p < 11; ++p) {
-    const auto [vr, tau] = reference_factor(problems[
-        static_cast<std::size_t>(p)]);
-    Matrix<float> got(16, 16);
-    f.factors().extract(static_cast<index_t>(p), got.view());
-    EXPECT_LT(relative_error<float>(got.view(), vr.view()), tol)
-        << "problem " << p;
-    EXPECT_LT(f.residual(static_cast<index_t>(p),
-                         problems[static_cast<std::size_t>(p)]),
-              tol)
-        << "problem " << p;
+  // 1e20 and 1e-20, 1e-22 push the float sum of squares past its overflow
+  // and underflow thresholds.
+  for (const double scale : {1.0, 1e20, 1e-20, 1e-22}) {
+    SCOPED_TRACE(scale);
+    const auto problems = random_batch<float>(16, 16, 11, 500, scale);
+    const auto f = core::BatchedQr<float>::factor(problems);
+    const double tol = verify_tolerance<float>(32);
+    for (int p = 0; p < 11; ++p) {
+      const auto [vr, tau] = reference_factor(problems[
+          static_cast<std::size_t>(p)]);
+      Matrix<float> got(16, 16);
+      f.factors().extract(static_cast<index_t>(p), got.view());
+      EXPECT_LT(relative_error<float>(unscale_r(got, scale).view(),
+                                      unscale_r(vr, scale).view()),
+                tol)
+          << "problem " << p;
+      EXPECT_LT(f.residual(static_cast<index_t>(p),
+                           problems[static_cast<std::size_t>(p)]),
+                tol)
+          << "problem " << p;
+    }
   }
 }
 

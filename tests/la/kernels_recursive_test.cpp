@@ -3,9 +3,12 @@
 // reflectors in the same order, so V, R, and the full compact-WY factor T
 // must agree to machine precision — not just produce *a* valid QR. Swept
 // over leaf widths that hit every recursion shape (ib = 1 deepest, ib = b
-// degenerate to unblocked) and over fringe / tall-skinny tile geometries.
+// degenerate to unblocked, ib = 0 the library default leaf width) and over
+// fringe / tall-skinny tile geometries, and through the full tiled
+// factorization and solve.
 #include <gtest/gtest.h>
 
+#include "core/tiled_qr.hpp"
 #include "la/checks.hpp"
 #include "la/kernels.hpp"
 
@@ -45,7 +48,8 @@ class RecursiveGeqrt
 TEST_P(RecursiveGeqrt, MatchesUnblocked) {
   const auto [shape, ib_sel] = GetParam();
   const index_t m = shape.m, n = shape.n;
-  // ib_sel: 1 and 4 literal, -2 means n/2, -1 means n (degenerate).
+  // ib_sel: 0 (library default), 1 and 4 literal, -2 means n/2, -1 means n
+  // (degenerate).
   const index_t ib = ib_sel == -2 ? n / 2 : (ib_sel == -1 ? n : ib_sel);
 
   auto a0 = Matrix<double>::random(m, n, 7000 + 13 * m + n);
@@ -77,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
         // and a boundary case right at the default leaf width.
         ::testing::Values(Shape{96, 96}, Shape{96, 41}, Shape{200, 48},
                           Shape{130, 96}, Shape{64, 64}),
-        ::testing::Values(1, 4, -2, -1)),
+        ::testing::Values(1, 4, -2, -1, 0)),
     [](const ::testing::TestParamInfo<std::tuple<Shape, int>>& info) {
       const Shape shape = std::get<0>(info.param);
       const int ib_sel = std::get<1>(info.param);
@@ -97,12 +101,16 @@ class RecursiveWidths : public ::testing::TestWithParam<int> {};
 TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
   const index_t b = 96;
   const index_t ib = GetParam();
+  // Below R1's diagonal lives the geqrt V of the top tile; TS must not
+  // touch it.
+  const double kSentinel = -777.25;
   for (index_t m2 : {b, 2 * b + 5}) {  // square and taller-than-b A2
     Matrix<double> r1_rec(b, b), r1_ref(b, b);
     auto rnd = Matrix<double>::random(b, b, 8000 + m2);
     for (index_t j = 0; j < b; ++j)
-      for (index_t i = 0; i <= j; ++i)
-        r1_rec(i, j) = r1_ref(i, j) = rnd(i, j) + (i == j ? 2.0 : 0.0);
+      for (index_t i = 0; i < b; ++i)
+        r1_rec(i, j) = r1_ref(i, j) =
+            i <= j ? rnd(i, j) + (i == j ? 2.0 : 0.0) : kSentinel;
     auto a2_0 = Matrix<double>::random(m2, b, 8100 + m2);
     Matrix<double> a2_rec = a2_0, a2_ref = a2_0;
     Matrix<double> t_rec(b, b), t_ref(b, b);
@@ -110,6 +118,11 @@ TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
     tsqrt<double>(r1_rec.view(), a2_rec.view(), t_rec.view(), ib);
     tsqrt_unblocked<double>(r1_ref.view(), a2_ref.view(), t_ref.view());
 
+    for (index_t j = 0; j < b; ++j)
+      for (index_t i = j + 1; i < b; ++i) {
+        ASSERT_EQ(r1_rec(i, j), kSentinel) << "V below R1 overwritten";
+        r1_rec(i, j) = r1_ref(i, j) = 0.0;
+      }
     EXPECT_LT(max_row_sign_diff(r1_rec, r1_ref), tolerance<double>(m2 + b));
 
     // T parity through the update kernel: same Q^T action on a stacked pair.
@@ -198,8 +211,37 @@ TEST_P(RecursiveWidths, FloatGeqrtBackwardStable) {
   EXPECT_GT(tolerance<float>(m), 1e3 * tolerance<double>(m));
 }
 
+TEST_P(RecursiveWidths, TiledFactorAndSolveHoldAtLeafWidth) {
+  // The leaf width reaches the kernels through the tiled driver: every
+  // elimination must still give an orthogonal Q, a backward-stable R, and
+  // the same solution as the default leaf width.
+  const index_t n = 192;
+  const int b = 96;
+  const index_t ib = GetParam();
+  auto a = Matrix<double>::random(n, n, 9600);
+  for (index_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+  auto rhs = Matrix<double>::random(n, 1, 9601);
+  using Factorization = core::TiledQrFactorization<double>;
+  const Matrix<double> x_default = Factorization::factor(a, b).solve(rhs);
+  for (auto elim : {dag::Elimination::kTs, dag::Elimination::kTt}) {
+    Factorization::Options opts;
+    opts.elim = elim;
+    opts.inner_block = ib;
+    const auto f = Factorization::factor(a, b, opts);
+    EXPECT_EQ(f.inner_block(), ib);
+    const Matrix<double> q = f.form_q();
+    EXPECT_LT(orthogonality_residual<double>(q.view()), tolerance<double>(n));
+    const Matrix<double> r = f.r();
+    EXPECT_LT(reconstruction_residual<double>(a.view(), q.view(), r.view()),
+              tolerance<double>(n));
+    const Matrix<double> x = f.solve(rhs);
+    EXPECT_LT(relative_error<double>(x.view(), x_default.view()),
+              tolerance<double>(n));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, RecursiveWidths,
-                         ::testing::Values(1, 4, 48, 96));
+                         ::testing::Values(1, 4, 48, 96, 0));
 
 }  // namespace
 }  // namespace tqr::la

@@ -40,7 +40,7 @@ TEST(Analysis, UtilizationBinsBoundedAndBusyWhereExpected) {
   std::vector<int> slots;
   for (int d = 0; d < r.platform.num_devices(); ++d)
     slots.push_back(r.platform.device(d).slots);
-  const auto util = utilization_timeline(r.trace, slots, 40);
+  const auto util = utilization_timeline(r.trace.events(), slots, 40);
   ASSERT_EQ(util.size(), 4u);
   double total = 0;
   for (const auto& dev : util)
@@ -61,7 +61,7 @@ TEST(Analysis, UtilizationRowRendering) {
 TEST(Analysis, PerPanelStatsCoverAllTasksAndPanels) {
   Traced r;
   traced_run(6, r);
-  const auto stats = per_panel_stats(r.trace, r.graph);
+  const auto stats = per_panel_stats(r.trace.events(), r.graph);
   ASSERT_EQ(stats.size(), 6u);
   std::int64_t tasks = 0;
   for (const auto& s : stats) {
@@ -77,7 +77,7 @@ TEST(Analysis, PerPanelStatsCoverAllTasksAndPanels) {
 TEST(Analysis, RealizedCriticalPathIsAChainEndingAtMakespan) {
   Traced r;
   traced_run(6, r);
-  const auto path = realized_critical_path(r.trace, r.graph);
+  const auto path = realized_critical_path(r.trace.events(), r.graph);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(r.graph.indegree(path.front()), 0);
   // Consecutive entries are actual dependence edges.
@@ -101,20 +101,20 @@ TEST(Analysis, RealizedCriticalPathIsAChainEndingAtMakespan) {
 TEST(Analysis, CriticalPathSharesSumToAtMostOne) {
   Traced r;
   traced_run(6, r);
+  const TraceSnapshot events = r.trace.events();
   double total = 0;
   for (int d = 0; d < r.platform.num_devices(); ++d)
-    total += critical_path_share(r.trace, r.graph, d);
+    total += critical_path_share(events, r.graph, d);
   EXPECT_GT(total, 0.3);  // kernels dominate the path
   EXPECT_LE(total, 1.0 + 1e-9);
   // The main device carries a substantial share (it runs every T/E).
-  EXPECT_GT(critical_path_share(r.trace, r.graph, 1), 0.1);
+  EXPECT_GT(critical_path_share(events, r.graph, 1), 0.1);
 }
 
 TEST(Analysis, IncompleteTraceRejectedForCriticalPath) {
   Traced r;
   traced_run(4, r);
-  Trace partial;
-  partial.record(r.trace.events().front());
+  const TraceSnapshot partial{r.trace.events().front()};
   EXPECT_THROW(realized_critical_path(partial, r.graph),
                tqr::InvalidArgument);
 }

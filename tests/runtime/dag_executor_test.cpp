@@ -360,19 +360,6 @@ TEST(DagExecutorEngine, RepeatedRunsExerciseParkUnparkWithoutLostWakeups) {
   EXPECT_EQ(engine.runs_completed(), 50u);
 }
 
-TEST(Trace, BusyAccounting) {
-  Trace trace;
-  trace.record({0, dag::Op::kGeqrt, 0, 0.0, 1.0});
-  trace.record({1, dag::Op::kTsmqr, 1, 0.0, 2.0});
-  trace.record({2, dag::Op::kTsmqr, 1, 2.0, 3.0});
-  const auto busy = trace.busy_per_device(2);
-  EXPECT_DOUBLE_EQ(busy[0], 1.0);
-  EXPECT_DOUBLE_EQ(busy[1], 3.0);
-  const auto steps = trace.busy_per_step();
-  EXPECT_DOUBLE_EQ(steps[0], 1.0);  // T
-  EXPECT_DOUBLE_EQ(steps[3], 3.0);  // UE
-}
-
 TEST(Trace, CsvContainsHeaderAndRows) {
   Trace trace;
   trace.record({0, dag::Op::kGeqrt, 0, 0.0, 1.0});

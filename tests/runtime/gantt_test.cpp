@@ -17,7 +17,7 @@ void fill_small_trace(Trace& t) {
 TEST(Gantt, ProducesWellFormedSvg) {
   Trace t;
   fill_small_trace(t);
-  const std::string svg = render_gantt_svg(t);
+  const std::string svg = render_gantt_svg(t.events());
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   // One rect per event (+ background + legend rects).
@@ -34,7 +34,7 @@ TEST(Gantt, UsesProvidedDeviceNames) {
   opts.device_names = {"CPU", "GTX580", "GTX680"};
   Trace t;
   fill_small_trace(t);
-  const std::string svg = render_gantt_svg(t, opts);
+  const std::string svg = render_gantt_svg(t.events(), opts);
   EXPECT_NE(svg.find("GTX580"), std::string::npos);
   EXPECT_NE(svg.find("GTX680"), std::string::npos);
 }
@@ -42,7 +42,7 @@ TEST(Gantt, UsesProvidedDeviceNames) {
 TEST(Gantt, FallsBackToGenericNames) {
   Trace t;
   fill_small_trace(t);
-  const std::string svg = render_gantt_svg(t);
+  const std::string svg = render_gantt_svg(t.events());
   EXPECT_NE(svg.find("dev 0"), std::string::npos);
   EXPECT_NE(svg.find("dev 2"), std::string::npos);
 }
@@ -50,7 +50,7 @@ TEST(Gantt, FallsBackToGenericNames) {
 TEST(Gantt, StepsGetDistinctColors) {
   Trace t;
   fill_small_trace(t);
-  const std::string svg = render_gantt_svg(t);
+  const std::string svg = render_gantt_svg(t.events());
   EXPECT_NE(svg.find("#c0392b"), std::string::npos);  // T
   EXPECT_NE(svg.find("#e67e22"), std::string::npos);  // E
   EXPECT_NE(svg.find("#2980b9"), std::string::npos);  // UT
@@ -63,23 +63,13 @@ TEST(Gantt, RejectsHugeTraces) {
     t.record({i, dag::Op::kTsmqr, 0, i * 1e-3, i * 1e-3 + 1e-4});
   GanttOptions opts;
   opts.max_events = 50;
-  EXPECT_THROW(render_gantt_svg(t, opts), tqr::InvalidArgument);
+  EXPECT_THROW(render_gantt_svg(t.events(), opts), tqr::InvalidArgument);
 }
 
 TEST(Gantt, EmptyTraceStillRenders) {
   Trace t;
-  const std::string svg = render_gantt_svg(t);
+  const std::string svg = render_gantt_svg(t.events());
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
-}
-
-TEST(ChromeJson, WellFormedEventArray) {
-  Trace t;
-  fill_small_trace(t);
-  const std::string json = t.to_chrome_json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"name\":\"GEQRT\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
 }
 
 }  // namespace

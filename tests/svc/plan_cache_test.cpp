@@ -12,15 +12,14 @@
 namespace tqr::svc {
 namespace {
 
-PlanKey key_for(la::index_t n, int tile, std::uint64_t platform_hash) {
-  return PlanKey{n, n, tile, dag::Elimination::kTt, platform_hash};
+PlanKey key_for(la::index_t n, int tile, la::index_t inner_block = 0) {
+  return PlanKey{n, n, tile, dag::Elimination::kTt, inner_block};
 }
 
 class PlanCacheTest : public ::testing::Test {
  protected:
   PlanCacheTest()
-      : platform_(sim::paper_platform_with_gpus(2)),
-        hash_(platform_fingerprint(platform_)) {}
+      : platform_(sim::paper_platform_with_gpus(2)) {}
 
   PlanCache::Builder builder_for(la::index_t n, int tile) {
     return [this, n, tile]() -> PlanEntry {
@@ -34,16 +33,15 @@ class PlanCacheTest : public ::testing::Test {
   }
 
   sim::Platform platform_;
-  std::uint64_t hash_;
 };
 
 TEST_F(PlanCacheTest, MissThenHitSharesOneEntry) {
   PlanCache cache(4);
   bool hit = true;
-  auto first = cache.get_or_build(key_for(64, 16, hash_),
+  auto first = cache.get_or_build(key_for(64, 16),
                                   builder_for(64, 16), &hit);
   EXPECT_FALSE(hit);
-  auto second = cache.get_or_build(key_for(64, 16, hash_),
+  auto second = cache.get_or_build(key_for(64, 16),
                                    builder_for(64, 16), &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), second.get());
@@ -55,9 +53,9 @@ TEST_F(PlanCacheTest, MissThenHitSharesOneEntry) {
 
 TEST_F(PlanCacheTest, DistinctKeysDistinctEntries) {
   PlanCache cache(8);
-  auto a = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  auto b = cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
-  auto c = cache.get_or_build(key_for(64, 32, hash_), builder_for(64, 32));
+  auto a = cache.get_or_build(key_for(64, 16), builder_for(64, 16));
+  auto b = cache.get_or_build(key_for(128, 16), builder_for(128, 16));
+  auto c = cache.get_or_build(key_for(64, 32), builder_for(64, 32));
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.stats().size, 3u);
@@ -67,45 +65,43 @@ TEST_F(PlanCacheTest, DistinctKeysDistinctEntries) {
 
 TEST_F(PlanCacheTest, LruEvictsColdestKey) {
   PlanCache cache(2);
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
+  cache.get_or_build(key_for(64, 16), builder_for(64, 16));
+  cache.get_or_build(key_for(128, 16), builder_for(128, 16));
   // Touch 64 so 128 is coldest, then insert a third key.
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(192, 16, hash_), builder_for(192, 16));
+  cache.get_or_build(key_for(64, 16), builder_for(64, 16));
+  cache.get_or_build(key_for(192, 16), builder_for(192, 16));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().size, 2u);
   // 64 must still be resident (hit), 128 must rebuild (miss).
   bool hit = false;
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16), &hit);
+  cache.get_or_build(key_for(64, 16), builder_for(64, 16), &hit);
   EXPECT_TRUE(hit);
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16), &hit);
+  cache.get_or_build(key_for(128, 16), builder_for(128, 16), &hit);
   EXPECT_FALSE(hit);
 }
 
 TEST_F(PlanCacheTest, EvictionKeepsLeasedEntryAlive) {
   PlanCache cache(1);
-  auto held = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
+  auto held = cache.get_or_build(key_for(64, 16), builder_for(64, 16));
+  cache.get_or_build(key_for(128, 16), builder_for(128, 16));
   EXPECT_EQ(cache.stats().evictions, 1u);
   // The evicted entry is still usable through our shared_ptr.
   EXPECT_GT(held->graph.size(), 0u);
   EXPECT_EQ(held->plan.mt(), 4);
 }
 
-TEST_F(PlanCacheTest, PlatformHashSeparatesConfigs) {
+TEST_F(PlanCacheTest, InnerBlockSeparatesConfigs) {
   PlanCache cache(8);
-  auto a = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  const auto other = platform_fingerprint(sim::paper_platform_with_gpus(0));
-  ASSERT_NE(other, hash_);
+  cache.get_or_build(key_for(64, 16), builder_for(64, 16));
   bool hit = true;
-  cache.get_or_build(key_for(64, 16, other), builder_for(64, 16), &hit);
+  cache.get_or_build(key_for(64, 16, 8), builder_for(64, 16), &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().size, 2u);
 }
 
 TEST_F(PlanCacheTest, ClearEmptiesButKeepsCounters) {
   PlanCache cache(4);
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
+  cache.get_or_build(key_for(64, 16), builder_for(64, 16));
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -122,7 +118,7 @@ TEST_F(PlanCacheTest, ConcurrentSameKeyConvergesToOneEntry) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
-      got[t] = cache.get_or_build(key_for(64, 16, hash_),
+      got[t] = cache.get_or_build(key_for(64, 16),
                                   builder_for(64, 16));
     });
   for (auto& t : threads) t.join();

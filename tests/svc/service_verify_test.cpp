@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,6 +233,68 @@ TEST(ServiceQuarantine, ProbationReadmitsHealedLane) {
   const auto s = service.stats();
   EXPECT_GE(s.lane_probations, 1u);
   EXPECT_EQ(s.lanes_quarantined, 0);
+}
+
+TEST(ServiceQuarantine, CallerNaNNeverQuarantinesALane) {
+  // Non-finite input is the caller's error, not the lane's: each job
+  // resolves kInvalid at submit, is never queued or retried, and never
+  // counts toward the breaker, however low its threshold.
+  ServiceConfig config;
+  config.lanes = 2;
+  config.quarantine_after = 2;  // probation_s = 0: a trip would be permanent
+  QrService service(config);
+
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 6; ++i) {
+    JobSpec spec = spec_for(64, 32, 500 + i);
+    spec.a(7 * i, i) = std::nan("");
+    spec.verify = Verify::kScan;
+    spec.max_attempts = 3;
+    futures.push_back(service.submit(std::move(spec)));
+  }
+  for (auto& f : futures) {
+    const JobResult r = f.get();
+    EXPECT_EQ(r.status, JobStatus::kInvalid) << r.error;
+    EXPECT_NE(r.error.find("non-finite"), std::string::npos) << r.error;
+    EXPECT_EQ(r.attempts, 0);
+    EXPECT_EQ(r.lane, -1);
+    EXPECT_EQ(r.r.rows(), 0);
+  }
+  service.drain();
+  const obs::Registry::Snapshot m = service.metrics();
+  EXPECT_EQ(m.counters.at("lane.quarantines"), 0u);
+  EXPECT_EQ(m.counters.at("jobs.invalid"), 6u);
+  EXPECT_EQ(m.counters.at("jobs.retried"), 0u);
+  EXPECT_EQ(m.counters.at("jobs.corrupted"), 0u);
+  EXPECT_EQ(service.stats().jobs_invalid, 6u);
+  EXPECT_EQ(service.stats().lanes_quarantined, 0);
+  // Both lanes still serve clean work.
+  EXPECT_EQ(service.submit(spec_for(64, 32, 600)).get().status,
+            JobStatus::kOk);
+}
+
+TEST(ServiceQuarantine, Fp32OverflowAndPoisonedBatchMemberAreInvalid) {
+  QrService service;
+  // Finite in fp64, Inf once narrowed: rejected before any kernel runs.
+  JobSpec wide = spec_for(64, 32, 700);
+  wide.a(3, 5) = 1e300;
+  wide.precision = Precision::kFp32;
+  const JobResult r32 = service.submit(std::move(wide)).get();
+  EXPECT_EQ(r32.status, JobStatus::kInvalid);
+  EXPECT_NE(r32.error.find("fp32"), std::string::npos) << r32.error;
+  // The same entry is fine at fp64.
+  JobSpec fine = spec_for(64, 32, 700);
+  fine.a(3, 5) = 1e300;
+  EXPECT_EQ(service.submit(std::move(fine)).get().status, JobStatus::kOk);
+  // One poisoned member invalidates the batch and names the member.
+  JobSpec batch;
+  for (int p = 0; p < 4; ++p)
+    batch.batch.push_back(la::Matrix<double>::random(8, 4, 710 + p));
+  batch.batch[2](1, 1) = -std::numeric_limits<double>::infinity();
+  const JobResult rb = service.submit(std::move(batch)).get();
+  EXPECT_EQ(rb.status, JobStatus::kInvalid);
+  EXPECT_NE(rb.error.find("batch member 2"), std::string::npos) << rb.error;
+  EXPECT_EQ(service.stats().jobs_invalid, 2u);
 }
 
 TEST(ServiceConfigValidation, RejectsNegativeBreakerKnobs) {

@@ -634,7 +634,8 @@ int cmd_serve(int argc, char** argv) {
     problems_total += r.problems;
     switch (r.status) {
       case svc::JobStatus::kOk: ++ok; break;
-      case svc::JobStatus::kFailed: ++failed; break;
+      case svc::JobStatus::kFailed:
+      case svc::JobStatus::kInvalid: ++failed; break;
       case svc::JobStatus::kRejected: ++rejected; break;
       case svc::JobStatus::kExpired: ++expired; break;
       case svc::JobStatus::kCancelled: ++cancelled; break;
@@ -642,7 +643,8 @@ int cmd_serve(int argc, char** argv) {
     }
     if (r.residual > worst_residual) worst_residual = r.residual;
     if (r.status == svc::JobStatus::kFailed ||
-        r.status == svc::JobStatus::kCorrupted)
+        r.status == svc::JobStatus::kCorrupted ||
+        r.status == svc::JobStatus::kInvalid)
       std::fprintf(stderr, "job %llu %s: %s\n",
                    static_cast<unsigned long long>(r.id),
                    svc::to_string(r.status), r.error.c_str());
