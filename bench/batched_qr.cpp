@@ -67,7 +67,7 @@ struct SizePoint {
 /// single submit carrying all N. Both are best-of-`repeats` wall clock.
 SizePoint measure_size(svc::QrService& service, la::index_t n, int count,
                        int repeats, std::uint64_t seed) {
-  // Prime the plan cache / workspace pool / engine for this shape so both
+  // Prime the plan cache / engine for this shape so both
   // measured paths run at steady state.
   {
     svc::JobSpec warm;

@@ -1,6 +1,6 @@
 // Serve-mode throughput: replay a mixed-shape QR job trace through
-// svc::QrService twice — once cold (plan cache off, workspace recycling off,
-// fresh executor per job: the seed's per-call costs) and once warm (all
+// svc::QrService twice — once cold (plan cache off, fresh executor per job:
+// the seed's per-call costs) and once warm (all
 // amortization on, cache primed) — and report both as JSON.
 //
 // This is the acceptance driver for the resident service: the warm run must
@@ -67,7 +67,6 @@ struct RunMetrics {
   double p50_ms = 0, p95_ms = 0;
   double cache_hit_rate = 0;
   std::uint64_t cache_hits = 0, cache_misses = 0;
-  std::uint64_t ws_allocated = 0, ws_reused = 0;
   // Outcome mix; only interesting in fault/deadline mode (strict replays
   // require every job to come back kOk).
   int ok = 0, failed = 0, cancelled = 0, expired = 0, corrupted = 0;
@@ -79,9 +78,8 @@ struct RunMetrics {
   // throw) detected and healed.
   int retried_ok = 0;
   std::uint64_t retried = 0, faults = 0, verify_failures = 0;
-  std::uint64_t quarantines = 0, probations = 0, ws_scrubbed = 0;
+  std::uint64_t quarantines = 0, probations = 0;
   int lanes_quarantined = 0;
-  std::uint64_t ws_outstanding = 0;
 };
 
 /// Replays the trace round-robin (shapes interleaved, the pattern a real
@@ -148,8 +146,6 @@ RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
   m.quarantines = after.lane_quarantines - before.lane_quarantines;
   m.probations = after.lane_probations - before.lane_probations;
   m.lanes_quarantined = after.lanes_quarantined;
-  m.ws_scrubbed = after.workspace.scrubbed - before.workspace.scrubbed;
-  m.ws_outstanding = after.workspace.outstanding;
   m.p50_ms = after.p50_ms;
   m.p95_ms = after.p95_ms;
   m.cache_hits = after.plan_cache.hits - before.plan_cache.hits;
@@ -157,8 +153,6 @@ RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
   const auto lookups = m.cache_hits + m.cache_misses;
   m.cache_hit_rate =
       lookups ? static_cast<double>(m.cache_hits) / lookups : 0.0;
-  m.ws_allocated = after.workspace.allocated - before.workspace.allocated;
-  m.ws_reused = after.workspace.reused - before.workspace.reused;
   return m;
 }
 
@@ -179,8 +173,7 @@ SweepPoint sweep_level(const svc::ServiceConfig& cfg, la::index_t n,
                        std::uint64_t seed) {
   svc::QrService service(cfg);
   {
-    // Prime the plan cache and workspace pool so every measured job runs at
-    // steady state.
+    // Prime the plan cache so every measured job runs at steady state.
     svc::JobSpec warmup;
     warmup.a = la::Matrix<double>::random(n, n, seed);
     service.submit(std::move(warmup)).get();
@@ -241,13 +234,11 @@ void print_metrics(const char* name, const RunMetrics& m, bool last) {
       " \"%s\": {\"jobs\": %d, \"wall_s\": %.4f, \"jobs_per_s\": %.2f,\n"
       "   \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f},\n"
       "   \"plan_cache\": {\"hits\": %llu, \"misses\": %llu, "
-      "\"hit_rate\": %.4f},\n"
-      "   \"workspace\": {\"allocated\": %llu, \"reused\": %llu}}%s\n",
+      "\"hit_rate\": %.4f}}%s\n",
       name, m.jobs, m.wall_s, m.jobs_per_s, m.p50_ms, m.p95_ms,
       static_cast<unsigned long long>(m.cache_hits),
       static_cast<unsigned long long>(m.cache_misses), m.cache_hit_rate,
-      static_cast<unsigned long long>(m.ws_allocated),
-      static_cast<unsigned long long>(m.ws_reused), last ? "" : ",");
+      last ? "" : ",");
 }
 
 }  // namespace
@@ -299,11 +290,10 @@ int main(int argc, char** argv) try {
   base.lanes = static_cast<int>(cli.get_int("lanes", 2));
   base.default_tile = static_cast<int>(cli.get_int("tile", 16));
 
-  // Cold: every job pays plan + DAG construction, fresh tile buffers, and a
-  // full executor spawn/teardown — the seed's one-shot cost structure.
+  // Cold: every job pays DAG construction and a full executor
+  // spawn/teardown — the seed's one-shot cost structure.
   svc::ServiceConfig cold_cfg = base;
   cold_cfg.plan_cache_enabled = false;
-  cold_cfg.workspace_max_bytes = 0;
   cold_cfg.reuse_engines = false;
   RunMetrics cold;
   {
@@ -330,7 +320,7 @@ int main(int argc, char** argv) try {
 
   // Optional chaos replay: same warm configuration plus fault injection and
   // per-job deadline/retry policy. Jobs are allowed to fail or cancel; the
-  // section reports the outcome mix and that no workspace leaked.
+  // section reports the outcome mix.
   const svc::FaultConfig::Mode fault_mode =
       svc::parse_fault_mode(cli.get_string("fault", "none"));
   const svc::Verify verify =
@@ -402,10 +392,9 @@ int main(int argc, char** argv) try {
         "   \"outcome_mix\": {\"detected\": %d, \"retried_ok\": %d, "
         "\"silently_wrong\": %d, \"quarantined_lanes\": %d},\n"
         "   \"verify\": \"%s\", \"verify_failures\": %llu, "
-        "\"quarantines\": %llu, \"probations\": %llu, "
-        "\"workspaces_scrubbed\": %llu,\n"
+        "\"quarantines\": %llu, \"probations\": %llu,\n"
         "   \"retried\": %llu, \"faults_injected\": %llu, \"jobs_per_s\": "
-        "%.2f, \"workspaces_outstanding\": %llu},\n",
+        "%.2f},\n",
         faulted.jobs, faulted.ok, faulted.failed, faulted.cancelled,
         faulted.expired, faulted.corrupted, faulted.corrupted,
         faulted.retried_ok, faulted.silently_wrong, faulted.lanes_quarantined,
@@ -413,10 +402,8 @@ int main(int argc, char** argv) try {
         static_cast<unsigned long long>(faulted.verify_failures),
         static_cast<unsigned long long>(faulted.quarantines),
         static_cast<unsigned long long>(faulted.probations),
-        static_cast<unsigned long long>(faulted.ws_scrubbed),
         static_cast<unsigned long long>(faulted.retried),
-        static_cast<unsigned long long>(faulted.faults), faulted.jobs_per_s,
-        static_cast<unsigned long long>(faulted.ws_outstanding));
+        static_cast<unsigned long long>(faulted.faults), faulted.jobs_per_s);
   std::printf(" \"warm_speedup\": %.3f}\n",
               warm.jobs_per_s / cold.jobs_per_s);
   // With verification on, any silently-wrong result is a defense failure:

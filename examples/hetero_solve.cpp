@@ -1,10 +1,12 @@
 // Heterogeneous solve: plan a factorization for the paper's CPU + 3 GPU
-// node, execute it functionally on host threads routed exactly like the
-// device schedule, simulate the same schedule for timing, and solve a
+// node and simulate that schedule for timing, then execute the same task
+// graph functionally on the host's work-stealing workers and solve a
 // least-squares problem — the full workflow a downstream user would run.
 //
 //   ./hetero_solve [--size 256] [--tile 16] [--rhs 4]
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "common/cli.hpp"
 #include "core/simulate.hpp"
@@ -40,11 +42,12 @@ int main(int argc, char** argv) {
               "(comm share %.1f%%)\n",
               sim_result.makespan_s * 1e3, sim_result.comm_fraction() * 100);
 
-  // 3. Execute the same schedule functionally on host threads.
+  // 3. Execute the same task graph functionally on every host core.
   auto a = la::Matrix<double>::random(m, n, 11);
   typename core::TiledQrFactorization<double>::Options opts;
-  opts.plan = &plan;
-  opts.threads_per_device = 1;
+  opts.elim = pc.elim;
+  opts.workers =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   auto f = core::TiledQrFactorization<double>::factor(a, b, opts);
 
   // 4. Solve and report least-squares optimality (A^T residual = 0).

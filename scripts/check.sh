@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Local gates, mirroring CI.
 #
-# Default mode — concurrency gate: builds the runtime + service test subsets
-# under ThreadSanitizer and runs them. The resident executor, thread pool,
-# job queue, plan cache, and service stress tests are exactly the code where
-# a data race would hide from the functional suite.
+# Default mode — concurrency gate: builds the runtime, service, core and
+# integration test subsets under ThreadSanitizer and runs them. The resident
+# executor, the parallel factorizations, job queue, plan cache, and service
+# stress tests are exactly the code where a data race would hide from the
+# functional suite.
 #
 # --perf mode — perf-regression gate: Release-builds the bench drivers,
 # regenerates the quick kernel numbers, and compares them against the
@@ -140,7 +141,8 @@ cmake -B "$BUILD_DIR" -S "$REPO_DIR" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   ${CMAKE_EXTRA_FLAGS:-} > /dev/null
 cmake --build "$BUILD_DIR" -j \
-  --target test_runtime test_svc test_cluster test_batched
+  --target test_runtime test_svc test_cluster test_batched test_core \
+  test_integration
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # Per-binary timeout: the cancellation tests park threads on condition
@@ -155,4 +157,10 @@ echo "== test_cluster (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_cluster"
 echo "== test_batched (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_batched"
+# The parallel factorization (TiledQrFactorization/TiledCholesky with
+# workers > 1) runs the work-stealing executor from these suites.
+echo "== test_core (TSan) =="
+timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_core"
+echo "== test_integration (TSan) =="
+timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_integration"
 echo "check.sh: all concurrency tests passed under ThreadSanitizer"

@@ -17,10 +17,9 @@ la::index_t round_up(la::index_t v, int b) {
   return (v + b - 1) / b * b;
 }
 
-/// Cluster-wide platform: `nodes` copies of the node preset (honoring the
-/// service template's GPU count) joined by the uniform inter-node fabric.
-sim::Platform make_cluster_platform(int nodes, int gpus,
-                                    double inter_gbytes_per_s,
+/// Cluster-wide platform: `nodes` copies of the paper's node joined by the
+/// uniform inter-node fabric.
+sim::Platform make_cluster_platform(int nodes, double inter_gbytes_per_s,
                                     double inter_latency_us) {
   TQR_REQUIRE(nodes >= 1 && nodes <= 4, "cluster supports 1..4 nodes");
   TQR_REQUIRE(inter_gbytes_per_s > 0, "inter-node bandwidth must be > 0");
@@ -30,7 +29,7 @@ sim::Platform make_cluster_platform(int nodes, int gpus,
   p.comm.inter_gbytes_per_s = inter_gbytes_per_s;
   p.comm.inter_latency_us = inter_latency_us;
   for (int n = 0; n < nodes; ++n) {
-    const sim::Platform node = sim::paper_platform_with_gpus(gpus);
+    const sim::Platform node = sim::paper_platform();
     for (const sim::DeviceSpec& d : node.devices) {
       p.devices.push_back(d);
       p.node_of.push_back(n);
@@ -97,10 +96,9 @@ struct Cluster::Tracked {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
-      platform_(make_cluster_platform(config.nodes, config.node.gpus,
-                                      config.inter_gbytes_per_s,
+      platform_(make_cluster_platform(config.nodes, config.inter_gbytes_per_s,
                                       config.inter_latency_us)),
-      node_platform_(sim::paper_platform_with_gpus(config.node.gpus)),
+      node_platform_(sim::paper_platform()),
       router_(config.policy),
       link_faults_(static_cast<std::size_t>(config.nodes)),
       failovers_(registry_.counter("cluster.failovers")),

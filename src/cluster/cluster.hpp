@@ -1,7 +1,7 @@
 // Cluster — the sharded multi-node QR tier (the paper's §VIII frontier).
 //
 // A Cluster owns N simulated nodes. Each node is one paper-testbed platform
-// (sim::paper_platform_with_gpus) fronted by its own resident
+// (sim::paper_platform) fronted by its own resident
 // svc::QrService lane set; the nodes are connected by the first-class
 // inter-node link model in sim::Platform (per-pair bandwidth/latency,
 // distinct from intra-node PCIe). Incoming jobs are sharded across nodes by

@@ -1,11 +1,9 @@
 // Tiled Cholesky factorization driver — the paper's scheduling framework
 // applied to a second factorization. Shares everything with the QR driver:
-// tile storage, the dependence-built task graph, Plan routing (POTRF/TRSM on
-// the main device, SYRK/GEMM to the column owners), the threaded executor,
+// tile storage, the dependence-built task graph, the work-stealing executor,
 // and the discrete-event simulator.
 #pragma once
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
 #include "dag/tiled_cholesky_dag.hpp"
 #include "la/cholesky.hpp"
@@ -22,9 +20,10 @@ template <typename T>
 class TiledCholesky {
  public:
   struct Options {
-    /// When set, run on the host pool routed by `plan`; else sequential.
-    const Plan* plan = nullptr;
-    int threads_per_device = 1;
+    /// Worker threads. 1 runs the tasks sequentially in graph order; more
+    /// runs them on a transient DagExecutor with this many workers.
+    int workers = 1;
+    /// Records the executor's task spans (only when workers > 1).
     runtime::Trace* trace = nullptr;
   };
 

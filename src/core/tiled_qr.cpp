@@ -49,40 +49,19 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
   la::TiledMatrix<T> tg(tiles.rows(), tiles.cols(), b);
   la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
   dag::TaskGraph graph = dag::build_tiled_qr_graph(
-      tiles.tile_rows(), tiles.tile_cols(), options.elim,
-      options.plan ? options.plan->hier_groups() : options.hier_groups);
-
-  if (options.plan == nullptr) {
-    for (const dag::Task& task : graph.tasks())
-      execute_task<T>(task, tiles, tg, te, options.inner_block);
+      tiles.tile_rows(), tiles.tile_cols(), options.elim, options.hier_groups);
+  auto run_task = [&](const dag::Task& task) {
+    execute_task<T>(task, tiles, tg, te, options.inner_block);
+  };
+  if (options.workers <= 1) {
+    for (const dag::Task& task : graph.tasks()) run_task(task);
   } else {
-    const Plan& plan = *options.plan;
-    TQR_REQUIRE(plan.mt() == tiles.tile_rows() &&
-                    plan.nt() == tiles.tile_cols(),
-                "plan grid does not match matrix");
-    // Device groups are the participants; route tasks with the plan and let
-    // the DAG executor enforce dependences.
-    const int groups = static_cast<int>(plan.participants().size());
-    // Map device id -> group index for routing.
-    std::vector<int> group_of(16, -1);
-    for (int g = 0; g < groups; ++g) group_of[plan.participants()[g]] = g;
-
     runtime::DagExecutor::Options exec_opts;
-    exec_opts.num_devices = groups;
-    exec_opts.threads_per_device.assign(
-        groups, std::max(1, options.threads_per_device));
+    exec_opts.workers = options.workers;
     exec_opts.trace = options.trace;
     runtime::DagExecutor::run(
         graph,
-        [&](dag::task_id, const dag::Task& task) {
-          const int dev = plan.device_for(task);
-          const int g = group_of[dev];
-          TQR_ASSERT(g >= 0, "task routed to a non-participating device");
-          return g;
-        },
-        [&](dag::task_id, const dag::Task& task, int) {
-          execute_task<T>(task, tiles, tg, te, options.inner_block);
-        },
+        [&](dag::task_id, const dag::Task& task, int) { run_task(task); },
         exec_opts);
   }
   return TiledQrFactorization<T>(std::move(tiles), std::move(tg),

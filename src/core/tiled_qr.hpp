@@ -2,15 +2,14 @@
 //
 // TiledQrFactorization<T> owns the factored tile storage (the matrix tiles
 // plus the two block-reflector planes) and the task graph that produced it,
-// so Q can be re-applied by replaying the factor tasks. Factorization can
-// run sequentially (deterministic order) or on the host thread pool routed
-// exactly like the device schedule (runtime::DagExecutor + core::Plan),
-// which is how tests prove schedule-independence of the numerics.
+// so Q can be re-applied by replaying the factor tasks. Factorization runs
+// sequentially (deterministic order) or on a work-stealing
+// runtime::DagExecutor; tests compare the two to prove the numerics are
+// schedule-independent.
 #pragma once
 
 #include <optional>
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
 #include "dag/tiled_qr_dag.hpp"
 #include "la/checks.hpp"
@@ -33,7 +32,7 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
 /// to c in place by replaying the factor tasks of `graph` against the tile
 /// storage the factorization wrote (a = factored tiles, tg/te = block
 /// reflectors). c.rows must equal a.rows(). Free-standing so callers that
-/// own tile storage directly — e.g. tqr::svc's pooled workspaces — can apply
+/// own tile storage directly — e.g. tqr::svc's per-job workspaces — can apply
 /// Q without wrapping the tiles in a TiledQrFactorization.
 template <typename T>
 void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
@@ -45,16 +44,15 @@ class TiledQrFactorization {
  public:
   struct Options {
     dag::Elimination elim = dag::Elimination::kTt;
-    /// Row groups for Elimination::kHier (0 = single group when no plan is
-    /// given; with a plan the plan's resolved group count wins).
+    /// Row groups for Elimination::kHier (0 = single group).
     std::int32_t hier_groups = 0;
     /// Inner blocking width for the tile kernels (0 = unblocked). Purely a
     /// locality knob; the factorization is numerically valid either way.
     la::index_t inner_block = 0;
-    /// When set, run on the host pool with this many slave threads per
-    /// participating device group, routed by `plan`; otherwise sequential.
-    const Plan* plan = nullptr;
-    int threads_per_device = 1;
+    /// Worker threads. 1 runs the tasks sequentially in graph order; more
+    /// runs them on a transient DagExecutor with this many workers.
+    int workers = 1;
+    /// Records the executor's task spans (only when workers > 1).
     runtime::Trace* trace = nullptr;
   };
 

@@ -5,8 +5,7 @@
 // 64-byte boundary (one cache line, one AVX-512 vector) makes those loads
 // aligned and keeps tiles from straddling cache lines. All owning containers
 // (Matrix, TiledMatrix, the packing buffers) use AlignedAllocator so the
-// guarantee holds end to end — including workspaces recycled through
-// svc::WorkspacePool, which are built from TiledMatrix.
+// guarantee holds end to end.
 #pragma once
 
 #include <cstddef>

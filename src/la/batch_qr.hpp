@@ -114,14 +114,6 @@ class BatchMatrix {
         dst(i, j) = static_cast<U>(at(i, j, p));
   }
 
-  /// Zeroes lane p (pad lanes of the final chunk, so recycled pool storage
-  /// never feeds stale data into a factorization).
-  void clear(index_t p) {
-    for (index_t j = 0; j < cols_; ++j)
-      for (index_t i = 0; i < rows_; ++i) at(i, j, p) = T(0);
-  }
-
-  void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
  private:
   std::size_t offset(index_t i, index_t j, index_t p) const {

@@ -20,11 +20,12 @@
 
 namespace tqr::la {
 
-/// ||Q^T Q - I||_F / n: orthogonality residual.
+/// ||Q^T Q - I||_F / n: orthogonality residual of the n columns of an
+/// m x n (m >= n) Q — square, or the thin factor.
 template <typename T>
 double orthogonality_residual(ConstMatrixView<T> q) {
-  TQR_REQUIRE(q.rows == q.cols, "orthogonality check expects square Q");
-  const index_t n = q.rows;
+  TQR_REQUIRE(q.rows >= q.cols, "orthogonality check expects rows >= cols");
+  const index_t n = q.cols;
   Matrix<T> gram(n, n);
   gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), q, q, T(0), gram.view());
   for (index_t i = 0; i < n; ++i) gram(i, i) -= T(1);

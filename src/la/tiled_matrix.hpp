@@ -76,11 +76,6 @@ class TiledMatrix {
     return tile(i / b_, j / b_)(i % b_, j % b_);
   }
 
-  /// Overwrites every element (all tiles) with `value`. Used by the
-  /// workspace pool to scrub storage returned by failed jobs, so stale or
-  /// corrupted factor data can never leak into a later lease.
-  void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
-
   /// Conversion from/to dense column-major layout.
   static TiledMatrix from_dense(ConstMatrixView<T> a, index_t b) {
     TiledMatrix t(a.rows, a.cols, b);

@@ -9,7 +9,7 @@
 //   pid 1 + lane    — one "process" per execution lane
 //     tid 0         —   job lifecycle spans (picked -> done) + retry/verify/
 //                       quarantine instants
-//     tid 1 + dev   —   per-task kernel events for that lane's device groups
+//     tid 1 + w     —   per-task kernel events run by the lane's worker w
 //
 // append_task_events() bridges a runtime::Trace snapshot (per-task records
 // from the executor) into the log, annotating each span with the kernel

@@ -5,8 +5,8 @@
 // and the executor that honors it. Cancellation is *cooperative*: the
 // executor checks the token at task-dispatch boundaries, so a request takes
 // effect within one task granularity — a kernel already running is never
-// interrupted mid-flight (tile kernels must not be torn, or the workspace
-// would be left in an undefined state for the pool).
+// interrupted mid-flight (a torn tile kernel would leave its tiles in an
+// undefined state).
 //
 // request_cancel() must also rouse executor workers that are parked on empty
 // ready queues, so the token carries a waker slot: the executor registers a

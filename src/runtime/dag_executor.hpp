@@ -1,23 +1,22 @@
 // Dependence-driven host execution of a TaskGraph.
 //
-// Mirrors the paper's Fig. 7 system structure: a manager (the calling
-// thread) owns dependence bookkeeping implicitly via atomic counters; each
-// *computing thread group* models one device and serves that device's ready
-// queue. A device group can have several slave threads (the paper's CPU
-// computing thread spawns CPU slave threads; a GPU computing thread feeds
-// one GPU).
+// The calling thread plays the paper's Fig. 7 manager: dependence
+// bookkeeping is implicit in per-task atomic counters, and one group of
+// worker threads executes whatever becomes ready. Every worker owns a
+// Chase-Lev deque and may steal from any other worker, so a graph with
+// enough parallelism keeps all of them busy — PLASMA's dynamic multicore
+// scheduling (0707.3548). Device routing (the paper's Alg. 2-4) is a
+// simulator concern and never decides which host thread runs a task.
 //
-// The kernel callback receives (task_id, task, device); device is the index
-// of the computing-thread group the task was routed to by the affinity
-// function — the same routing the simulator uses, so a functional run and a
-// simulated run of one plan execute identical schedules up to timing.
+// The kernel callback receives (task_id, task, worker): the index of the
+// worker thread executing the task, in [0, workers).
 //
-// A DagExecutor instance is a *resident engine*: its device thread groups
-// are spawned once at construction and reused by every execute() call, so a
-// service that factors many matrices pays the thread start/stop cost once
-// instead of per run (the amortization tqr::svc is built on). The static
-// run() keeps the original one-shot convenience: it spins up a transient
-// engine for a single graph.
+// A DagExecutor instance is a *resident engine*: its workers are spawned
+// once at construction and reused by every execute() call, so a service
+// that factors many matrices pays the thread start/stop cost once instead
+// of per run (the amortization tqr::svc is built on). The static run()
+// keeps the one-shot convenience: it spins up a transient engine for a
+// single graph.
 #pragma once
 
 #include <atomic>
@@ -43,8 +42,9 @@ struct ExecCounters {
   std::atomic<std::uint64_t> steals{0};
   /// Times a worker exhausted its spin budget and parked on the futex.
   std::atomic<std::uint64_t> parks{0};
-  /// Ready tasks routed cross-thread through a device inbox ring.
-  std::atomic<std::uint64_t> inbox_pushes{0};
+  /// Ready tasks pushed through the shared ring: the caller's seed tasks
+  /// plus any release that found the worker's own deque full.
+  std::atomic<std::uint64_t> ring_pushes{0};
   /// Ready tasks the releasing worker kept on its own deque (the free path).
   std::atomic<std::uint64_t> local_pushes{0};
   /// Popped-then-dropped plus never-dispatched tasks accounted during an
@@ -55,24 +55,12 @@ struct ExecCounters {
 
 class DagExecutor {
  public:
-  /// Routes a task to a device group; must return a value in
-  /// [0, num_devices).
-  using Affinity = std::function<int(dag::task_id, const dag::Task&)>;
-  /// Executes the kernel for a task on the routed device group.
+  /// Executes the kernel for a task; the int is the worker index.
   using Kernel = std::function<void(dag::task_id, const dag::Task&, int)>;
 
   struct Options {
-    int num_devices = 1;
-    /// Serve ready queues lowest-task-id-first (panel-major priority, the
-    /// order the simulator uses). With the work-stealing scheduler this is
-    /// a best-effort dispatch *hint* — batches of simultaneously-released
-    /// tasks are ordered, single-thread device groups dispatch in panel
-    /// order, but stealing never re-sorts across workers (a global sort
-    /// under a shared lock is exactly the contention this design removes).
-    bool panel_priority = false;
-    /// Slave threads per device group (>= 1 each). Size must equal
-    /// num_devices; empty means one thread per device.
-    std::vector<int> threads_per_device;
+    /// Worker threads (>= 1).
+    int workers = 1;
     /// Optional trace sink for run() (may be nullptr). execute() takes its
     /// trace per call instead, since one engine serves many runs.
     Trace* trace = nullptr;
@@ -81,19 +69,18 @@ class DagExecutor {
     ExecCounters* counters = nullptr;
   };
 
-  /// Spawns the persistent device thread groups. Throws InvalidArgument on
-  /// bad options.
+  /// Spawns the persistent workers. Throws InvalidArgument on bad options.
   explicit DagExecutor(const Options& options);
-  /// Joins the thread groups. Must not race an in-flight execute().
+  /// Joins the workers. Must not race an in-flight execute().
   ~DagExecutor();
 
   DagExecutor(const DagExecutor&) = delete;
   DagExecutor& operator=(const DagExecutor&) = delete;
 
-  /// Executes one graph to completion on the resident thread groups and
-  /// returns wall-clock seconds. Rethrows the first kernel exception (after
-  /// the groups have quiesced); the engine stays usable for the next
-  /// execute() afterwards. Thread-safe: concurrent calls are serialized.
+  /// Executes one graph to completion on the resident workers and returns
+  /// wall-clock seconds. Rethrows the first kernel exception (after the
+  /// workers have quiesced); the engine stays usable for the next execute()
+  /// afterwards. Thread-safe: concurrent calls are serialized.
   ///
   /// `cancel` (optional) makes the run abortable: the token is checked at
   /// every task-dispatch boundary, and a latched token aborts the run — the
@@ -112,20 +99,19 @@ class DagExecutor {
   /// drains, quiesces, and rethrows it, and the failed task's successors
   /// never run, so a detected-bad tile is never consumed downstream. Hook
   /// time is attributed to the task in traces.
-  double execute(const dag::TaskGraph& graph, const Affinity& affinity,
-                 const Kernel& kernel, Trace* trace = nullptr,
-                 CancelToken* cancel = nullptr,
+  double execute(const dag::TaskGraph& graph, const Kernel& kernel,
+                 Trace* trace = nullptr, CancelToken* cancel = nullptr,
                  const Kernel* post_task = nullptr);
 
-  int num_devices() const;
+  int workers() const;
   /// Number of execute() calls that ran to completion (diagnostics).
   std::uint64_t runs_completed() const;
 
   /// One-shot convenience: builds a transient engine, runs the whole graph,
   /// returns wall-clock seconds. Throws whatever the kernel throws (first
   /// exception wins; execution stops draining).
-  static double run(const dag::TaskGraph& graph, const Affinity& affinity,
-                    const Kernel& kernel, const Options& options);
+  static double run(const dag::TaskGraph& graph, const Kernel& kernel,
+                    const Options& options);
 
  private:
   struct Impl;

@@ -106,9 +106,13 @@ class MpmcRing {
     for (;;) {
       // Exact admission bound. `pos` is the ticket the CAS below validates,
       // so a stale (low) dequeue_pos_ read can only under-admit, never let
-      // occupancy exceed capacity.
-      if (pos - dequeue_pos_.load(std::memory_order_acquire) >= capacity_)
-        return false;
+      // occupancy exceed capacity. `pos` itself may be stale too: other
+      // producers and consumers can both move past it between the two
+      // loads, leaving dequeue_pos_ > pos. That is not "full" — the
+      // unsigned difference would wrap to a huge occupancy — so it falls
+      // through to the cell check, which reloads the ticket.
+      const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);
+      if (pos >= deq && pos - deq >= capacity_) return false;
       cell = &cells_[pos % phys_];
       const std::size_t seq = cell->seq.load(std::memory_order_acquire);
       const std::intptr_t dif = static_cast<std::intptr_t>(seq) -

@@ -24,6 +24,7 @@ struct TraceEvent {
 
   std::int32_t task = -1;
   dag::Op op = dag::Op::kGeqrt;
+  /// Simulated runs: the modeled device. Host runs: the worker index.
   std::int32_t device = -1;
   double start_s = 0;  // seconds since run start (wall or simulated)
   double end_s = 0;

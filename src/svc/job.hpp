@@ -130,8 +130,8 @@ struct JobSpec {
   /// 8-64 typical) factored by the chunk-interleaved engine
   /// (core::BatchedQr) instead of the tiled DAG path. Non-empty `batch`
   /// makes this a batched job; `a` must then stay empty. The whole batch is
-  /// one unit of service work — one queue slot, one PlanCache entry, one
-  /// WorkspacePool lease, one queued→picked→done span set — while
+  /// one unit of service work — one queue slot, one set of batch planes,
+  /// one queued→picked→done span set — while
   /// cancellation, verification, and corruption quarantine act at problem
   /// granularity (JobResult::problem_status). Batched jobs honor
   /// queue/exec deadlines, verify tiers, and precision; max_attempts is
@@ -163,6 +163,8 @@ struct JobResult {
   double queue_s = 0;  // submit -> lane pickup
   double exec_s = 0;   // factorization (graph execution) only
   double total_s = 0;  // submit -> completion
+  /// The task graph came from the plan cache (single-matrix jobs only;
+  /// batched jobs build no graph).
   bool plan_cache_hit = false;
   int lane = -1;      // lane that ran the job
   int attempts = 0;   // execution attempts consumed (0 if never started)

@@ -8,9 +8,8 @@ PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
   TQR_REQUIRE(capacity > 0, "plan cache needs capacity >= 1");
 }
 
-std::shared_ptr<const PlanEntry> PlanCache::get_or_build(const PlanKey& key,
-                                                         const Builder& build,
-                                                         bool* hit) {
+std::shared_ptr<const dag::TaskGraph> PlanCache::get_or_build(
+    const PlanKey& key, const Builder& build, bool* hit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(key);
@@ -24,9 +23,9 @@ std::shared_ptr<const PlanEntry> PlanCache::get_or_build(const PlanKey& key,
   }
   if (hit) *hit = false;
 
-  // Build outside the lock: planning one shape must not block lanes that
+  // Build outside the lock: one shape's graph must not block lanes that
   // are hitting (or building) other shapes.
-  auto entry = std::make_shared<const PlanEntry>(build());
+  auto entry = std::make_shared<const dag::TaskGraph>(build());
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);

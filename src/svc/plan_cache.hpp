@@ -1,13 +1,12 @@
-// Memoization of the planning pipeline: (shape, tile, elimination, inner
-// block) -> { core::Plan, dag::TaskGraph }.
+// Memoization of task-graph construction: (shape, tile, elimination, inner
+// block) -> dag::TaskGraph.
 //
-// Planning a factorization re-runs Algorithms 2-4 and rebuilds the task DAG
-// with full dependence analysis — fixed cost that is identical for every job
-// of the same shape on the same platform. The cache hands repeat shapes a
-// shared immutable entry so steady-state jobs skip planning entirely
-// (PLASMA-lineage runtimes amortize the same way across calls). Entries are
-// shared_ptr<const ...>: eviction never invalidates a plan a lane is
-// executing.
+// Building a factorization's task DAG runs full dependence analysis — fixed
+// cost that is identical for every job of the same shape. The cache hands
+// repeat shapes a shared immutable graph so steady-state jobs skip it
+// entirely (PLASMA-lineage runtimes amortize the same way across calls).
+// Entries are shared_ptr<const ...>: eviction never invalidates a graph a
+// lane is executing.
 #pragma once
 
 #include <cstdint>
@@ -17,22 +16,20 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
+#include "dag/task.hpp"
+#include "la/matrix.hpp"
 
 namespace tqr::svc {
 
-/// Identity of a plannable request. The platform is not part of the key:
-/// each QrService owns its cache and plans for its one platform.
+/// Identity of a job's task graph.
 struct PlanKey {
   la::index_t rows = 0;  // padded (tile-aligned) dimensions
   la::index_t cols = 0;
   int tile_size = 0;
   dag::Elimination elim = dag::Elimination::kTt;
-  /// Factor-kernel inner block size the plan's execution assumes. Part of
-  /// the key so services configured with different kernel shapes never
-  /// share a cached plan (the plan's config records ib; execution reads it
-  /// back from there).
+  /// Factor-kernel inner block size. Part of the key so services
+  /// configured with different kernel shapes never share an entry.
   la::index_t inner_block = 0;
 
   bool operator==(const PlanKey&) const = default;
@@ -54,12 +51,6 @@ struct PlanKeyHash {
   }
 };
 
-/// Everything planning produces for one shape.
-struct PlanEntry {
-  core::Plan plan;
-  dag::TaskGraph graph;
-};
-
 /// Thread-safe LRU cache with hit/miss/eviction counters.
 ///
 /// Concurrent misses on the same key may build the entry more than once
@@ -70,12 +61,12 @@ class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity);
 
-  using Builder = std::function<PlanEntry()>;
+  using Builder = std::function<dag::TaskGraph()>;
 
   /// Returns the cached entry for `key`, building (and inserting) it on a
   /// miss. `hit`, when non-null, reports whether this call was served from
   /// cache.
-  std::shared_ptr<const PlanEntry> get_or_build(const PlanKey& key,
+  std::shared_ptr<const dag::TaskGraph> get_or_build(const PlanKey& key,
                                                 const Builder& build,
                                                 bool* hit = nullptr);
 
@@ -96,7 +87,7 @@ class PlanCache {
 
  private:
   struct Slot {
-    std::shared_ptr<const PlanEntry> entry;
+    std::shared_ptr<const dag::TaskGraph> entry;
     std::list<PlanKey>::iterator lru_pos;
   };
 

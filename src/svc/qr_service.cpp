@@ -22,8 +22,7 @@ namespace {
 
 /// Loads `src` into the tile storage with pad_to_tiles semantics: the pad
 /// block gets an identity diagonal so the padded matrix stays full-rank and
-/// its QR restricts to QR of `src`. Every element of `dst` is written, which
-/// is what makes recycled (uncleared) workspaces safe.
+/// its QR restricts to QR of `src`.
 void load_padded(la::TiledMatrix<double>& dst,
                  la::ConstMatrixView<double> src) {
   const la::index_t pr = dst.rows(), pc = dst.cols();
@@ -34,11 +33,38 @@ void load_padded(la::TiledMatrix<double>& dst,
     dst.at(src.rows + d, src.cols + d) = 1.0;
 }
 
-/// Caller-error screen run at submit, one pass over the input: a non-finite
-/// entry can never factor to a valid R, and an fp32 job with an entry
-/// beyond the float range would turn it into Inf when narrowed. Returns why
-/// the spec is invalid, or an empty string.
+/// Shape half of the caller-error screen: the tiled and batched engines
+/// both need one non-empty matrix shape with rows >= cols.
+std::string invalid_shape(const JobSpec& spec) {
+  auto check = [](const la::Matrix<double>& m) -> std::string {
+    if (m.rows() == 0 || m.cols() == 0) return "empty matrix";
+    if (m.rows() < m.cols())
+      return "rows < cols (" + std::to_string(m.rows()) + " x " +
+             std::to_string(m.cols()) + ")";
+    return {};
+  };
+  if (!spec.is_batch()) return check(spec.a);
+  if (spec.a.rows() != 0 || spec.a.cols() != 0)
+    return "job carries both a single matrix and a batch";
+  const la::Matrix<double>& first = spec.batch.front();
+  if (std::string why = check(first); !why.empty())
+    return "batch member 0: " + why;
+  for (std::size_t p = 1; p < spec.batch.size(); ++p)
+    if (spec.batch[p].rows() != first.rows() ||
+        spec.batch[p].cols() != first.cols())
+      return "batch member " + std::to_string(p) +
+             " differs in shape from member 0";
+  return {};
+}
+
+/// Caller-error screen run at submit: a bad shape (see invalid_shape), then
+/// one pass over the input — a non-finite entry can never factor to a valid
+/// R, and an fp32 job with an entry beyond the float range would turn it
+/// into Inf when narrowed. Returns why the spec is invalid, or an empty
+/// string.
 std::string invalid_input(const JobSpec& spec) {
+  if (std::string why = invalid_shape(spec); !why.empty())
+    return "invalid input: " + why;
   const double limit = spec.precision == Precision::kFp32
                            ? std::numeric_limits<float>::max()
                            : std::numeric_limits<double>::max();
@@ -71,6 +97,16 @@ std::string sci(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3e", v);
   return buf;
+}
+
+/// max |a_ij|, or 1 for an all-zero matrix: the divisor that keeps a
+/// verification sum of squares of `a` clear of overflow and underflow.
+double scale_of(const la::Matrix<double>& a) {
+  double amax = 0;
+  for (la::index_t j = 0; j < a.cols(); ++j)
+    for (la::index_t i = 0; i < a.rows(); ++i)
+      amax = std::max(amax, std::abs(a(i, j)));
+  return amax > 0 ? amax : 1.0;
 }
 
 /// Scalar Q replay against one batch member's extracted dense factor
@@ -120,25 +156,34 @@ QrService::Metrics::Metrics(obs::Registry& r)
       exec_s(r.histogram("job.exec_s",
                          obs::exponential_bounds(1e-5, 120.0))) {}
 
-/// Per-lane resident executor. With reuse_engines the engine (and its device
-/// thread groups) lives as long as the lane; otherwise one is built per job,
+/// Per-lane resident executor. With reuse_engines the engine (and its
+/// workers) lives as long as the lane; otherwise one is built per job,
 /// reproducing the seed's per-run cost for baseline comparisons.
 struct QrService::LaneEngine {
   runtime::DagExecutor::Options options;
   std::unique_ptr<runtime::DagExecutor> resident;
 
   double execute(const dag::TaskGraph& graph,
-                 const runtime::DagExecutor::Affinity& affinity,
                  const runtime::DagExecutor::Kernel& kernel,
                  runtime::Trace* trace, runtime::CancelToken* cancel,
                  const runtime::DagExecutor::Kernel* post_task) {
     if (resident)
-      return resident->execute(graph, affinity, kernel, trace, cancel,
-                               post_task);
+      return resident->execute(graph, kernel, trace, cancel, post_task);
     runtime::DagExecutor fresh(options);
-    return fresh.execute(graph, affinity, kernel, trace, cancel, post_task);
+    return fresh.execute(graph, kernel, trace, cancel, post_task);
   }
 };
+
+namespace {
+
+/// Workers per lane engine: the cores split evenly across the lanes, so
+/// lanes x workers never exceeds the machine.
+int workers_per_lane(int lanes) {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) /
+                         lanes);
+}
+
+}  // namespace
 
 /// Per-job cancellation handle. The token is what the executor and the
 /// kernel wrapper poll; `reason` records WHY it latched (first writer wins)
@@ -170,15 +215,11 @@ struct QrService::JobControl {
 
 QrService::QrService(const ServiceConfig& config)
     : config_(config),
-      platform_(sim::paper_platform_with_gpus(config.gpus)),
       queue_(config.queue_capacity, config.admission),
       plan_cache_(config.plan_cache_capacity),
-      workspace_pool_(config.workspace_max_bytes),
       metrics_(registry_),
       exec_counters_(std::make_unique<runtime::ExecCounters>()) {
   TQR_REQUIRE(config.lanes > 0, "service needs at least one lane");
-  TQR_REQUIRE(config.threads_per_device > 0,
-              "threads_per_device must be >= 1");
   TQR_REQUIRE(config.default_tile > 0, "default_tile must be >= 1");
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
@@ -193,7 +234,7 @@ QrService::QrService(const ServiceConfig& config)
     trace_ = std::make_unique<obs::TraceLog>(config.trace_capacity);
     // Name the viewer tracks up front: pid trace_pid_base is the shared
     // queue, one "process" per lane with a lifecycle row plus one row per
-    // device group. trace_label qualifies the names when several services
+    // worker. trace_label qualifies the names when several services
     // (cluster nodes) merge into one document.
     trace_->process_name(queue_pid(), config.trace_label + "svc queue");
     trace_->thread_name(queue_pid(), 0, "queued jobs");
@@ -202,10 +243,8 @@ QrService::QrService(const ServiceConfig& config)
       trace_->process_name(pid,
                            config.trace_label + "lane " + std::to_string(lane));
       trace_->thread_name(pid, 0, "jobs");
-      for (int dev = 0; dev < platform_.num_devices(); ++dev)
-        trace_->thread_name(pid, 1 + dev,
-                            platform_.devices[static_cast<std::size_t>(dev)]
-                                .name);
+      for (int w = 0; w < workers_per_lane(config.lanes); ++w)
+        trace_->thread_name(pid, 1 + w, "worker " + std::to_string(w));
     }
   }
   lanes_.reserve(static_cast<std::size_t>(config.lanes));
@@ -360,10 +399,7 @@ void QrService::drain() {
 
 void QrService::lane_main(int lane) {
   LaneEngine engine;
-  engine.options.num_devices = platform_.num_devices();
-  engine.options.threads_per_device.assign(
-      static_cast<std::size_t>(platform_.num_devices()),
-      config_.threads_per_device);
+  engine.options.workers = workers_per_lane(config_.lanes);
   engine.options.counters = exec_counters_.get();
   if (config_.reuse_engines)
     engine.resident =
@@ -532,7 +568,7 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
     return result;
   }
   if (node_fault_ && node_fault_->crashed(clock_.seconds())) {
-    // Popped on a crashed node: fail fast without planning or factoring —
+    // Popped on a crashed node: fail fast without factoring —
     // a down node loses its queue, it doesn't slowly chew through it. The
     // failure is permanent (no retry loop), so the owning cluster's
     // failover sees it as soon as possible.
@@ -547,7 +583,7 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
     // Batched jobs skip the retry loop: members never retry — a member that
     // fails its verify tier is quarantined alone (kCorrupted in
     // problem_status) while the rest of the batch stays valid, and a
-    // whole-batch exception (bad spec) is terminal. The tail of the single
+    // whole-batch exception is terminal. The tail of the single
     // path must not run either: it clears result.r wholesale, whereas a
     // non-kOk batch keeps every member the per-problem statuses vouch for.
     result.attempts = 1;
@@ -557,8 +593,8 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
       result.status = JobStatus::kCancelled;
       result.error = control.reason_text();
     } catch (const std::exception& e) {
-      // Spec validation or an engine failure poisons the whole batch: no
-      // member result is trustworthy, so none are handed out.
+      // An engine failure poisons the whole batch: no member result is
+      // trustworthy, so none are handed out.
       result.status = JobStatus::kFailed;
       result.error = e.what();
       result.batch_r.clear();
@@ -646,9 +682,7 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
 void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                             double picked_up_s, JobControl& control,
                             JobResult& result) {
-  const la::Matrix<double>& a = job.spec.a;
-  TQR_REQUIRE(a.rows() > 0 && a.cols() > 0, "job matrix is empty");
-  TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
+  const la::Matrix<double>& a = job.spec.a;  // shape checked at submit
   const int b = job.spec.tile_size > 0 ? job.spec.tile_size
                                        : config_.default_tile;
   result.tile_size = b;
@@ -657,42 +691,34 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const la::index_t pr = round_up(a.rows(), b);
   const la::index_t pc = round_up(a.cols(), b);
 
-  // Plan + DAG: cached per shape.
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block};
-  auto build = [&]() -> PlanEntry {
-    core::PlanConfig pc_cfg;
-    pc_cfg.tile_size = b;
-    pc_cfg.element_bytes = sizeof(double);
-    pc_cfg.elim = job.spec.elim;
-    pc_cfg.inner_block = config_.inner_block;
-    core::Plan plan(platform_, pr / b, pc / b, pc_cfg);
-    dag::TaskGraph graph = dag::build_tiled_qr_graph(
-        pr / b, pc / b, job.spec.elim, plan.hier_groups());
-    return PlanEntry{std::move(plan), std::move(graph)};
+  // Task graph: cached per shape.
+  auto build = [&] {
+    return dag::build_tiled_qr_graph(pr / b, pc / b, job.spec.elim);
   };
-  std::shared_ptr<const PlanEntry> entry;
-  if (config_.plan_cache_enabled) {
-    entry = plan_cache_.get_or_build(key, build, &result.plan_cache_hit);
-  } else {
-    entry = std::make_shared<const PlanEntry>(build());
-  }
+  std::shared_ptr<const dag::TaskGraph> graph =
+      config_.plan_cache_enabled
+          ? plan_cache_.get_or_build(
+                PlanKey{pr, pc, b, job.spec.elim, config_.inner_block}, build,
+                &result.plan_cache_hit)
+          : std::make_shared<const dag::TaskGraph>(build());
 
-  // Workspace: recycled per shape. The RAII lease is what guarantees the
-  // pool's `outstanding` returns to zero on EVERY exit from this attempt —
-  // success, injected fault, or a cancellation unwinding through execute().
-  // The scrub stays armed until the attempt finishes cleanly, so any
-  // abnormal exit returns zero-filled storage to the pool: half-written or
-  // poisoned factors can never leak into a later lease (including this same
-  // job's retry).
-  WorkspacePool::Lease ws = workspace_pool_.acquire(pr, pc, b);
-  ws.scrub_on_release(true);
-  load_padded(ws->a, a.view());
+  // Tile storage of this attempt alone: allocated here and freed on every
+  // exit (success, injected fault, or a cancellation unwinding through
+  // execute()), so a failed attempt's half-written or poisoned factors can
+  // never reach a later job or this job's retry.
+  struct Planes {
+    la::TiledMatrix<double> a, tg, te;
+  };
+  Planes ws{la::TiledMatrix<double>(pr, pc, b),
+            la::TiledMatrix<double>(pr, pc, b),
+            la::TiledMatrix<double>(pr, pc, b)};
+  load_padded(ws.a, a.view());
 
-  // fp32 jobs factor into dedicated float planes (the pooled workspace is
-  // fp64) and the factored planes are widened back into the lease after
-  // execution. float -> double is exact, so every downstream consumer — R
-  // extraction, the verification replays — sees precisely the reflectors
-  // the fp32 kernels wrote, just applied in fp64 arithmetic.
+  // fp32 jobs factor into dedicated float planes and the factored planes
+  // are widened back into the fp64 ones after execution. float -> double
+  // is exact, so every downstream consumer — R extraction, the
+  // verification replays — sees precisely the reflectors the fp32 kernels
+  // wrote, just applied in fp64 arithmetic.
   struct FloatPlanes {
     la::TiledMatrix<float> a, tg, te;
   };
@@ -704,7 +730,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                     la::TiledMatrix<float>(pr, pc, b)});
     for (la::index_t j = 0; j < pc; ++j)
       for (la::index_t i = 0; i < pr; ++i)
-        f32->a.at(i, j) = static_cast<float>(ws->a.at(i, j));
+        f32->a.at(i, j) = static_cast<float>(ws.a.at(i, j));
   }
 
   const Verify verify = job.spec.verify;
@@ -720,7 +746,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     for (la::index_t j = 0; j < pc; ++j) {
       double col2 = 0;
       for (la::index_t i = 0; i < pr; ++i) {
-        const double v = ws->a.at(i, j);
+        const double v = ws.a.at(i, j);
         col2 += v * v;
       }
       col_norm[static_cast<std::size_t>(j)] = std::sqrt(col2);
@@ -729,18 +755,12 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     a_fro = std::sqrt(fro2);
   }
 
-  // Execute the factorization graph on the lane engine, routed by the
-  // plan's device assignment. The kernel wrapper is the service's
-  // task-boundary hook: it enforces the exec deadline (measured from lane
-  // pickup), short-circuits once the token latched (the executor then
-  // aborts without releasing successors), and runs fault injection ahead
-  // of the real tile kernel.
-  const core::Plan& plan = entry->plan;
-  // Kernel configuration comes from the plan, not the service config: the
-  // plan's timings (and its cache key) were made for this ib, so reading it
-  // back here keeps calibration and execution on the same configuration
-  // even if the service knob changes between planning and running.
-  const la::index_t ib = plan.config().inner_block;
+  // Execute the factorization graph on the lane engine. The kernel wrapper
+  // is the service's task-boundary hook: it enforces the exec deadline
+  // (measured from lane pickup), short-circuits once the token latched (the
+  // executor then aborts without releasing successors), and runs fault
+  // injection ahead of the real tile kernel.
+  const la::index_t ib = config_.inner_block;
   const double deadline_s = job.spec.exec_deadline_s;
   const int lane = result.lane;
 
@@ -767,8 +787,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
           } else {
             const la::TiledMatrix<double>& plane =
                 acc[idx].plane == dag::Plane::kA
-                    ? ws->a
-                    : (acc[idx].plane == dag::Plane::kTg ? ws->tg : ws->te);
+                    ? ws.a
+                    : (acc[idx].plane == dag::Plane::kTg ? ws.tg : ws.te);
             ok = la::all_finite<double>(plane.tile(acc[idx].i, acc[idx].j));
           }
           if (!ok)
@@ -786,10 +806,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const double exec_start_s = clock_.seconds();
   Timer exec_clock;
   engine.execute(
-      entry->graph,
-      [&plan](dag::task_id, const dag::Task& task) {
-        return plan.device_for(task);
-      },
+      *graph,
       [this, &ws, &f32, ib, &control, picked_up_s, deadline_s, lane,
        corrupting](dag::task_id t, const dag::Task& task, int) {
         auto past_deadline = [&] {
@@ -821,7 +838,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
         if (f32)
           core::execute_task<float>(task, f32->a, f32->tg, f32->te, ib);
         else
-          core::execute_task<double>(task, ws->a, ws->tg, ws->te, ib);
+          core::execute_task<double>(task, ws.a, ws.tg, ws.te, ib);
         const double brown =
             node_fault_ ? node_fault_->stall_factor(clock_.seconds()) : 1.0;
         if (brown > 1.0) {
@@ -857,7 +874,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                                       f32->a.tile(acc[idx].i, acc[idx].j));
               else
                 fault_->maybe_corrupt(t, task, lane,
-                                      ws->a.tile(acc[idx].i, acc[idx].j));
+                                      ws.a.tile(acc[idx].i, acc[idx].j));
               break;
             }
           }
@@ -868,17 +885,17 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   result.exec_s = exec_clock.seconds();
   metrics_.exec_s.observe(result.exec_s);
   if (fp32) {
-    // Widen the factored planes back into the pooled workspace (exactly);
-    // extraction and verification below run unchanged against the lease.
+    // Widen the factored planes back into the fp64 ones (exactly);
+    // extraction and verification below read those.
     for (la::index_t j = 0; j < pc; ++j)
       for (la::index_t i = 0; i < pr; ++i) {
-        ws->a.at(i, j) = static_cast<double>(f32->a.at(i, j));
-        ws->tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
-        ws->te.at(i, j) = static_cast<double>(f32->te.at(i, j));
+        ws.a.at(i, j) = static_cast<double>(f32->a.at(i, j));
+        ws.tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
+        ws.te.at(i, j) = static_cast<double>(f32->te.at(i, j));
       }
   }
   if (trace_)
-    obs::append_task_events(*trace_, task_trace.events(), entry->graph, b,
+    obs::append_task_events(*trace_, task_trace.events(), *graph, b,
                             lane_pid(lane), exec_start_s,
                             static_cast<int>(ib));
 
@@ -887,7 +904,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const la::index_t n = a.cols();
   result.r = la::Matrix<double>(n, n);
   for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i <= j; ++i) result.r(i, j) = ws->a.at(i, j);
+    for (la::index_t i = 0; i <= j; ++i) result.r(i, j) = ws.a.at(i, j);
 
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));
@@ -901,7 +918,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     for (la::index_t j = 0; j < pc; ++j) {
       double col2 = 0;
       for (la::index_t i = 0; i <= j && i < pr; ++i) {
-        const double v = ws->a.at(i, j);
+        const double v = ws.a.at(i, j);
         col2 += v * v;
       }
       worst = std::max(
@@ -929,10 +946,10 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     la::Matrix<double> z(pr, 1);
     for (la::index_t i = 0; i < pc; ++i) {
       double s = 0;
-      for (la::index_t j = i; j < pc; ++j) s += ws->a.at(i, j) * x(j, 0);
+      for (la::index_t j = i; j < pc; ++j) s += ws.a.at(i, j) * x(j, 0);
       z(i, 0) = s;
     }
-    core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te, z.view(),
+    core::apply_q_tiles<double>(*graph, ws.a, ws.tg, ws.te, z.view(),
                                 la::Trans::kNoTrans);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
@@ -955,8 +972,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     la::Matrix<double> qr(pr, pc);
     for (la::index_t j = 0; j < pc; ++j)
       for (la::index_t i = 0; i <= j && i < pr; ++i)
-        qr(i, j) = ws->a.at(i, j);
-    core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te,
+        qr(i, j) = ws.a.at(i, j);
+    core::apply_q_tiles<double>(*graph, ws.a, ws.tg, ws.te,
                                 qr.view(), la::Trans::kNoTrans);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
@@ -980,29 +997,18 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                                 sci(tol));
     }
   }
-
-  // Clean finish: the recycled workspace only holds factors every enabled
-  // check accepted, so it can be parked without the scrub pass.
-  ws.scrub_on_release(false);
 }
 
 void QrService::run_batch(const PendingJob& job, double picked_up_s,
                           JobControl& control, JobResult& result) {
+  // Shapes were checked at submit: one non-empty m x n shape, m >= n.
   const std::vector<la::Matrix<double>>& batch = job.spec.batch;
-  TQR_REQUIRE(job.spec.a.rows() == 0 && job.spec.a.cols() == 0,
-              "batched job must not also carry a single matrix");
   const la::index_t m = batch.front().rows();
   const la::index_t n = batch.front().cols();
-  TQR_REQUIRE(m > 0 && n > 0, "batched job problems must be non-empty");
-  TQR_REQUIRE(m >= n, "batched QR requires rows >= cols");
-  for (const la::Matrix<double>& a : batch)
-    TQR_REQUIRE(a.rows() == m && a.cols() == n,
-                "batched job problems must share one shape");
   const la::index_t count = static_cast<la::index_t>(batch.size());
   const bool fp32 = job.spec.precision == Precision::kFp32;
-  const int b = job.spec.tile_size > 0 ? job.spec.tile_size
-                                       : config_.default_tile;
-  result.tile_size = b;
+  result.tile_size = job.spec.tile_size > 0 ? job.spec.tile_size
+                                            : config_.default_tile;
   result.precision = job.spec.precision;
   result.problems = static_cast<int>(count);
   // Members start kCancelled: exactly the problems whose chunk completes
@@ -1013,38 +1019,11 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   result.batch_r.assign(static_cast<std::size_t>(count),
                         la::Matrix<double>());
 
-  // One PlanCache touch per batch — the same (shape, tile, elim, ib)
-  // key a single job of this shape uses. The interleaved engine needs no
-  // task graph, but resolving the entry here (a) makes plan_cache_hit mean
-  // the same thing for both job kinds, (b) amortizes to one lookup per
-  // *batch* where the loop-of-jobs baseline pays one per problem, and (c)
-  // pre-warms the entry any same-shape single job (e.g. a caller
-  // re-checking one member) would otherwise build.
-  const la::index_t pr = round_up(m, b);
-  const la::index_t pc = round_up(n, b);
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block};
-  auto build = [&]() -> PlanEntry {
-    core::PlanConfig pc_cfg;
-    pc_cfg.tile_size = b;
-    pc_cfg.element_bytes = sizeof(double);
-    pc_cfg.elim = job.spec.elim;
-    pc_cfg.inner_block = config_.inner_block;
-    core::Plan plan(platform_, pr / b, pc / b, pc_cfg);
-    dag::TaskGraph graph = dag::build_tiled_qr_graph(
-        pr / b, pc / b, job.spec.elim, plan.hier_groups());
-    return PlanEntry{std::move(plan), std::move(graph)};
-  };
-  if (config_.plan_cache_enabled)
-    plan_cache_.get_or_build(key, build, &result.plan_cache_hit);
-
-  // One WorkspacePool lease per batch: pooled fp64 interleaved factor
-  // storage. fp32 batches factor into transient float planes (the batched
-  // analogue of the single path's FloatPlanes) and widen back into the
-  // lease, so extraction and verification below read fp64 either way.
-  // The scrub stays armed until the batch finishes with every member
-  // accounted for, same contract as the tiled lease.
-  WorkspacePool::BatchLease ws = workspace_pool_.acquire_batch(m, n, count);
-  ws.scrub_on_release(true);
+  // The batch's fp64 interleaved factor storage, freed when the batch
+  // returns. fp32 batches factor into float planes (the batched analogue
+  // of the single path's FloatPlanes) and widen back into these, so
+  // extraction and verification below read fp64 either way.
+  la::BatchMatrix<double> vr(m, n, count), tau(n, 1, count);
   struct FloatBatch {
     la::BatchMatrix<float> vr, tau;
   };
@@ -1063,8 +1042,8 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   // boundary: cancellation and the exec deadline are honored between
   // chunks, so a cancelled batch keeps every already-factored member and
   // abandons the rest at problem granularity. Loading happens per chunk
-  // (members are scattered into their lanes, pad lanes zeroed so recycled
-  // pool storage never feeds stale factors into the sweep).
+  // (members are scattered into their lanes; pad lanes stay zero from
+  // construction and factor to identity reflectors).
   Timer exec_clock;
   la::index_t done = 0;  // members whose chunk fully factored
   auto factor_chunks = [&](auto& vr, auto& tau) {
@@ -1078,7 +1057,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       const la::index_t end = std::min<la::index_t>(begin + width, count);
       for (la::index_t p = begin; p < end; ++p)
         vr.load(p, batch[static_cast<std::size_t>(p)].view());
-      for (la::index_t p = end; p < begin + width; ++p) vr.clear(p);
       la::batch::qr_factor_chunk<T>(m, n, vr.chunk(c), tau.chunk(c));
       done = end;
     }
@@ -1086,7 +1064,7 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   if (fp32)
     factor_chunks(f32->vr, f32->tau);
   else
-    factor_chunks(ws->vr, ws->tau);
+    factor_chunks(vr, tau);
   result.exec_s = exec_clock.seconds();
   metrics_.exec_s.observe(result.exec_s);
 
@@ -1098,21 +1076,25 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   metrics_.batch_occupancy.set(result.batch_occupancy);
 
   if (fp32) {
-    // Widen the factored members into the pooled lease (float -> double is
+    // Widen the factored members into the fp64 planes (float -> double is
     // exact): downstream consumers see precisely the factors the fp32
     // sweep wrote, applied in fp64 arithmetic, like the single fp32 path.
     for (la::index_t p = 0; p < done; ++p) {
       for (la::index_t j = 0; j < n; ++j)
         for (la::index_t i = 0; i < m; ++i)
-          ws->vr.at(i, j, p) = static_cast<double>(f32->vr.at(i, j, p));
+          vr.at(i, j, p) = static_cast<double>(f32->vr.at(i, j, p));
       for (la::index_t k = 0; k < n; ++k)
-        ws->tau.at(k, 0, p) = static_cast<double>(f32->tau.at(k, 0, p));
+        tau.at(k, 0, p) = static_cast<double>(f32->tau.at(k, 0, p));
     }
   }
 
   // Per-member epilogue: extract, optionally inject silent corruption,
   // verify, and promote. Verification and quarantine act on one member at
-  // a time — a corrupted member costs exactly its own result.
+  // a time — a corrupted member costs exactly its own result. Every
+  // verification sum runs on entries divided by the member's max |a_ij|
+  // (core::BatchedQr::residual's scaling), so members near the overflow or
+  // underflow threshold neither overflow to Inf (whose difference is a NaN
+  // that std::max drops) nor flush to 0.
   const Verify verify = job.spec.verify;
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(m, n))
                           : la::verify_tolerance<double>(std::max(m, n));
@@ -1122,9 +1104,9 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   la::AlignedVector<double> tau_p(static_cast<std::size_t>(n));
   la::index_t bad = 0;
   for (la::index_t p = 0; p < done; ++p) {
-    ws->vr.extract(p, fac.view());
-    for (la::index_t k = 0; k < n; ++k) tau_p[static_cast<std::size_t>(k)] =
-        ws->tau.at(k, 0, p);
+    vr.extract(p, fac.view());
+    for (la::index_t k = 0; k < n; ++k)
+      tau_p[static_cast<std::size_t>(k)] = tau.at(k, 0, p);
     if (corrupting) {
       // Member-granular SDC model: the injector sees one synthetic GEQRT
       // "task" per member (task id = member index), so FaultConfig::task
@@ -1136,22 +1118,25 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
                             fac.view());
     }
 
+    const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
+    const double scale = verify != Verify::kNone || job.spec.compute_residual
+                             ? scale_of(a)
+                             : 1.0;
     std::string fail;
     if (verify >= Verify::kScan && !la::all_finite<double>(fac.view()))
       fail = "non-finite value in factors";
     if (fail.empty() && verify >= Verify::kScan) {
       // Tier 1 per member: column norms of R must reproduce the member's
       // input column norms (orthogonal invariance), normalized by ||A||_F.
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
       double fro2 = 0, worst = 0;
       for (la::index_t j = 0; j < n; ++j) {
         double col2 = 0, rcol2 = 0;
         for (la::index_t i = 0; i < m; ++i) {
-          const double v = a(i, j);
+          const double v = a(i, j) / scale;
           col2 += v * v;
         }
         for (la::index_t i = 0; i <= j; ++i) {
-          const double v = fac(i, j);
+          const double v = fac(i, j) / scale;
           rcol2 += v * v;
         }
         worst = std::max(worst,
@@ -1176,12 +1161,12 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
         z(i, 0) = s;
       }
       batch_apply_q(fac, tau_p, z);
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
       la::Matrix<double> ax(m, 1);
       for (la::index_t i = 0; i < m; ++i) {
         double s = 0;
         for (la::index_t j = 0; j < n; ++j) s += a(i, j) * x(j, 0);
-        ax(i, 0) = s;
+        ax(i, 0) = s / scale;
+        z(i, 0) /= scale;
       }
       const double rel = la::relative_error<double>(z.view(), ax.view());
       result.verify_residual = std::max(result.verify_residual, rel);
@@ -1196,13 +1181,13 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       for (la::index_t j = 0; j < n; ++j)
         for (la::index_t i = 0; i <= j; ++i) qr(i, j) = fac(i, j);
       batch_apply_q(fac, tau_p, qr);
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
       double diff2 = 0, norm2 = 0;
       for (la::index_t j = 0; j < n; ++j)
         for (la::index_t i = 0; i < m; ++i) {
-          const double d = qr(i, j) - a(i, j);
+          const double d = (qr(i, j) - a(i, j)) / scale;
+          const double r = a(i, j) / scale;
           diff2 += d * d;
-          norm2 += a(i, j) * a(i, j);
+          norm2 += r * r;
         }
       const double rel =
           std::sqrt(diff2) / (norm2 > 0 ? std::sqrt(norm2) : 1);
@@ -1249,11 +1234,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
                    " problems failed verification";
   } else {
     result.status = JobStatus::kOk;
-    // Every member verified clean, so the lease holds nothing a scrub
-    // would need to hide. (A corrupted batch keeps the scrub armed: the
-    // injected poison only ever touched the extracted copy, but the
-    // conservative contract is cheap.)
-    ws.scrub_on_release(false);
   }
   metrics_.batched_jobs.inc();
   metrics_.batched_problems.inc(
@@ -1308,13 +1288,12 @@ ServiceStats QrService::stats() const {
   s.exec_parks = exec_counters_->parks.load(std::memory_order_relaxed);
   s.exec_local_pushes =
       exec_counters_->local_pushes.load(std::memory_order_relaxed);
-  s.exec_inbox_pushes =
-      exec_counters_->inbox_pushes.load(std::memory_order_relaxed);
+  s.exec_ring_pushes =
+      exec_counters_->ring_pushes.load(std::memory_order_relaxed);
   s.tasks_drained =
       exec_counters_->drained_tasks.load(std::memory_order_relaxed);
   s.queue = queue_.stats();
   s.plan_cache = plan_cache_.stats();
-  s.workspace = workspace_pool_.stats();
   return s;
 }
 
@@ -1322,8 +1301,8 @@ obs::Registry::Snapshot QrService::metrics() const {
   obs::Registry::Snapshot s = registry_.snapshot();
   const ServiceStats st = stats();
   // Derived and externally-held state folded into the one exposition: the
-  // queue, cache, and pool keep their own counters (they predate the
-  // registry and are useful standalone), so the snapshot adopts them here.
+  // queue and cache keep their own counters (they predate the registry and
+  // are useful standalone), so the snapshot adopts them here.
   s.counters["faults.injected"] = st.faults_injected;
   s.counters["node.faults_injected"] = st.node_faults_injected;
   s.gauges["node.down"] = st.node_down ? 1.0 : 0.0;
@@ -1335,15 +1314,11 @@ obs::Registry::Snapshot QrService::metrics() const {
   s.counters["exec.steals"] = st.exec_steals;
   s.counters["exec.parks"] = st.exec_parks;
   s.counters["exec.local_pushes"] = st.exec_local_pushes;
-  s.counters["exec.inbox_pushes"] = st.exec_inbox_pushes;
+  s.counters["exec.ring_pushes"] = st.exec_ring_pushes;
   s.counters["exec.tasks_drained"] = st.tasks_drained;
   s.counters["plan_cache.hits"] = st.plan_cache.hits;
   s.counters["plan_cache.misses"] = st.plan_cache.misses;
   s.counters["plan_cache.evictions"] = st.plan_cache.evictions;
-  s.counters["workspace.allocated"] = st.workspace.allocated;
-  s.counters["workspace.reused"] = st.workspace.reused;
-  s.counters["workspace.dropped"] = st.workspace.dropped;
-  s.counters["workspace.scrubbed"] = st.workspace.scrubbed;
   s.gauges["uptime_s"] = st.uptime_s;
   s.gauges["jobs_per_s"] = st.jobs_per_s;
   s.gauges["lanes"] = st.lanes;
@@ -1352,10 +1327,6 @@ obs::Registry::Snapshot QrService::metrics() const {
   s.gauges["queue.high_water"] = static_cast<double>(st.queue.high_water);
   s.gauges["plan_cache.size"] = static_cast<double>(st.plan_cache.size);
   s.gauges["plan_cache.hit_rate"] = st.plan_cache.hit_rate();
-  s.gauges["workspace.bytes_retained"] =
-      static_cast<double>(st.workspace.bytes_retained);
-  s.gauges["workspace.outstanding"] =
-      static_cast<double>(st.workspace.outstanding);
   if (trace_) {
     s.gauges["trace.events"] = static_cast<double>(trace_->size());
     s.gauges["trace.dropped"] = static_cast<double>(trace_->dropped());

@@ -1,26 +1,23 @@
 // QrService — a resident QR factorization job service.
 //
-// The seed's tools run one factorization per process: derive the plan, build
-// the DAG, allocate tile workspaces, spin up executor threads, factor, tear
-// everything down. QrService keeps all of that resident and amortizes it
-// across many jobs, the way PLASMA-lineage runtimes amortize scheduling
-// state across calls:
+// The seed's tools run one factorization per process: build the DAG,
+// allocate tile workspaces, spin up executor threads, factor, tear
+// everything down. QrService keeps the threads and task graphs resident and
+// amortizes them across many jobs, the way PLASMA-lineage runtimes amortize
+// scheduling state across calls:
 //
 //   submit() ──> JobQueue (bounded; admission control = backpressure)
 //                   │ pop
 //                   ▼
 //   lane 0..L-1: persistent worker, each owning a resident
-//                runtime::DagExecutor whose device thread groups outlive
-//                every job the lane runs
+//                runtime::DagExecutor whose work-stealing workers outlive
+//                every job the lane runs (cores / lanes workers per lane)
 //                   │
-//                   ├─ PlanCache: (shape, tile, elim, platform) ->
-//                   │    {core::Plan, dag::TaskGraph}; repeat shapes skip
-//                   │    planning entirely (LRU, hit/miss counters)
-//                   ├─ WorkspacePool: recycled tile + T-factor storage;
-//                   │    steady state allocates nothing
-//                   └─ execute on the lane engine, routed by the plan's
-//                        device assignment (same schedule the simulator and
-//                        one-shot driver use)
+//                   ├─ PlanCache: (shape, tile, elim, ib) -> dag::TaskGraph;
+//                   │    repeat shapes skip graph construction (LRU,
+//                   │    hit/miss counters)
+//                   └─ execute on the lane engine against tile planes the
+//                        attempt allocates and frees itself
 //
 // Jobs on different lanes run concurrently; each lane's engine serves one
 // job at a time. Results come back through std::future<JobResult>; admission
@@ -32,6 +29,8 @@
 // residual, or full reconstruction — see svc::Verify); a detection fails the
 // attempt with tqr::VerificationError, which is retryable, and exhausts to
 // JobStatus::kCorrupted rather than ever returning silently-wrong factors.
+// Every attempt factors into storage of its own, so a failed or corrupt
+// attempt's tiles can never reach a later job (or this job's retry).
 // A per-lane circuit breaker (quarantine_after / probation_s) takes lanes
 // that keep producing bad jobs out of rotation while the shared queue
 // redistributes their work to the survivors.
@@ -46,16 +45,13 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "core/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
-#include "sim/platform.hpp"
 #include "svc/fault.hpp"
 #include "svc/job.hpp"
 #include "svc/job_queue.hpp"
 #include "svc/plan_cache.hpp"
 #include "svc/service_stats.hpp"
-#include "svc/workspace_pool.hpp"
 
 namespace tqr::runtime {
 struct ExecCounters;  // runtime/dag_executor.hpp (kept out of this header)
@@ -64,20 +60,17 @@ struct ExecCounters;  // runtime/dag_executor.hpp (kept out of this header)
 namespace tqr::svc {
 
 struct ServiceConfig {
-  /// Concurrent execution lanes; each owns a resident DagExecutor.
+  /// Concurrent execution lanes; each owns a resident DagExecutor with
+  /// max(1, hardware_concurrency / lanes) work-stealing workers.
   int lanes = 2;
-  /// Slave threads per device group inside each lane's engine.
-  int threads_per_device = 1;
 
   std::size_t queue_capacity = 64;
   Admission admission = Admission::kBlock;
 
   std::size_t plan_cache_capacity = 32;
-  /// Disable to re-plan every job (the serve bench's cold baseline).
+  /// Disable to rebuild every job's task graph (the serve bench's cold
+  /// baseline).
   bool plan_cache_enabled = true;
-
-  /// Byte cap for recycled workspaces; 0 disables recycling.
-  std::size_t workspace_max_bytes = std::size_t{256} << 20;
 
   /// Reuse each lane's DagExecutor across jobs. Disable to pay the seed's
   /// per-job thread-group spawn/teardown (cold baseline).
@@ -87,9 +80,6 @@ struct ServiceConfig {
   int default_tile = 16;
   /// Inner blocking width passed to the tile kernels (0 = unblocked).
   la::index_t inner_block = 0;
-
-  /// Modeled GPUs in the planning platform (0-3, the paper's node).
-  int gpus = 3;
 
   /// Shutdown policy: by default the destructor drains every accepted job
   /// to completion. With this set, shutdown instead cancels all outstanding
@@ -152,9 +142,11 @@ class QrService {
 
   /// Submits a job. Blocks when the queue is full under Admission::kBlock;
   /// under kReject the returned future resolves immediately with
-  /// JobStatus::kRejected. A job with a non-finite entry, or an fp32 job
-  /// whose entries overflow float, resolves immediately with
-  /// JobStatus::kInvalid. Throws tqr::Error after shutdown began.
+  /// JobStatus::kRejected. A caller error resolves immediately with
+  /// JobStatus::kInvalid: a bad shape (empty, rows < cols, both `a` and
+  /// `batch` set, batch members of differing shapes), a non-finite entry,
+  /// or an fp32 job whose entries overflow float. Throws tqr::Error after
+  /// shutdown began.
   /// `id_out` (optional) receives the service-assigned job id before the
   /// call returns — the handle cancel() takes.
   std::future<JobResult> submit(JobSpec spec, std::uint64_t* id_out = nullptr);
@@ -179,8 +171,8 @@ class QrService {
 
   ServiceStats stats() const;
 
-  /// Registry snapshot plus derived gauges (uptime, queue depth, cache and
-  /// pool state) folded in — the single exposition `tqr serve` writes.
+  /// Registry snapshot plus derived gauges (uptime, queue depth, cache
+  /// state) folded in — the single exposition `tqr serve` writes.
   obs::Registry::Snapshot metrics() const;
   /// Prometheus-style text exposition of metrics().
   std::string metrics_text() const { return metrics().to_text(); }
@@ -194,7 +186,6 @@ class QrService {
   const obs::TraceLog* trace() const { return trace_.get(); }
 
   const ServiceConfig& config() const { return config_; }
-  const sim::Platform& platform() const { return platform_; }
 
  private:
   struct LaneEngine;  // hides runtime::DagExecutor from this header
@@ -228,18 +219,16 @@ class QrService {
   void run_attempt(LaneEngine& engine, const PendingJob& job,
                    double picked_up_s, JobControl& control, JobResult& result);
   /// Batched jobs (JobSpec::batch): factors the whole batch through the
-  /// chunk-interleaved engine — one plan-cache touch, one pooled batch
-  /// lease, cancellation at chunk boundaries, verify/quarantine per member.
+  /// chunk-interleaved engine — one set of batch planes, cancellation at
+  /// chunk boundaries, verify/quarantine per member.
   void run_batch(const PendingJob& job, double picked_up_s,
                  JobControl& control, JobResult& result);
 
   ServiceConfig config_;
-  sim::Platform platform_;
 
   Timer clock_;
   JobQueue queue_;
   PlanCache plan_cache_;
-  WorkspacePool workspace_pool_;
   std::unique_ptr<FaultInjector> fault_;  // null when disarmed
   std::unique_ptr<NodeFaultInjector> node_fault_;  // null when disarmed
 

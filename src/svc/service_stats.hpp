@@ -10,7 +10,6 @@
 
 #include "svc/job_queue.hpp"
 #include "svc/plan_cache.hpp"
-#include "svc/workspace_pool.hpp"
 
 namespace tqr::svc {
 
@@ -58,7 +57,7 @@ struct ServiceStats {
   std::uint64_t exec_steals = 0;       // tasks taken from a sibling's deque
   std::uint64_t exec_parks = 0;        // spin budgets exhausted -> futex park
   std::uint64_t exec_local_pushes = 0; // ready tasks kept on the owner deque
-  std::uint64_t exec_inbox_pushes = 0; // ready tasks routed cross-thread
+  std::uint64_t exec_ring_pushes = 0;  // seeds + deque spills (shared ring)
   /// Tasks dropped without executing (cancel at a dispatch boundary or an
   /// aborted run's queue drain). Balances traces: executed + drained ==
   /// dispatched for every run.
@@ -67,7 +66,6 @@ struct ServiceStats {
   int lanes = 0;
   JobQueue::Stats queue;
   PlanCache::Stats plan_cache;
-  WorkspacePool::Stats workspace;
 };
 
 }  // namespace tqr::svc

@@ -95,16 +95,8 @@ TEST(TiledCholesky, ParallelExecutionMatchesSequential) {
   auto a = random_spd(n, 40);
   auto f_seq = TiledCholesky<double>::factor(a, b);
 
-  const sim::Platform platform = sim::paper_platform();
-  PlanConfig pc;
-  pc.tile_size = b;
-  pc.main_policy = MainPolicy::kFixed;
-  pc.fixed_main = 1;
-  pc.count_policy = CountPolicy::kAll;
-  Plan plan(platform, n / b, n / b, pc);
   typename TiledCholesky<double>::Options opts;
-  opts.plan = &plan;
-  opts.threads_per_device = 2;
+  opts.workers = 3;
   auto f_par = TiledCholesky<double>::factor(a, b, opts);
 
   for (index_t j = 0; j < n; ++j)

@@ -193,39 +193,38 @@ TEST(TiledQr, FloatPrecisionFactorization) {
 }
 
 TEST(TiledQr, ParallelExecutionMatchesSequentialBitwise) {
-  // The DAG enforces all orderings that matter; a threaded run over the
-  // plan's routing must produce the exact same factors as sequential replay.
+  // The DAG enforces all orderings that matter; a work-stealing run on any
+  // worker count must produce the exact same factors as sequential replay,
+  // for every elimination tree.
   const int n = 48, b = 8;
   auto a = Matrix<double>::random(n, n, 60);
-
-  auto f_seq = TiledQrFactorization<double>::factor(a, b);
-
-  const sim::Platform platform = sim::paper_platform();
-  PlanConfig pc;
-  pc.tile_size = b;
-  Plan plan(platform, n / b, n / b, pc);
-  typename TiledQrFactorization<double>::Options opts;
-  opts.plan = &plan;
-  opts.threads_per_device = 2;
-  auto f_par = TiledQrFactorization<double>::factor(a, b, opts);
-
-  const auto& ts = f_seq.tiles();
-  const auto& tp = f_par.tiles();
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i)
-      EXPECT_EQ(ts.at(i, j), tp.at(i, j)) << "tiles differ at " << i << "," << j;
+  for (const dag::Elimination elim :
+       {dag::Elimination::kTs, dag::Elimination::kTt,
+        dag::Elimination::kHier}) {
+    typename TiledQrFactorization<double>::Options opts;
+    opts.elim = elim;
+    opts.hier_groups = 2;
+    auto f_seq = TiledQrFactorization<double>::factor(a, b, opts);
+    for (int workers = 2; workers <= 4; ++workers) {
+      opts.workers = workers;
+      auto f_par = TiledQrFactorization<double>::factor(a, b, opts);
+      const auto& ts = f_seq.tiles();
+      const auto& tp = f_par.tiles();
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i)
+          ASSERT_EQ(ts.at(i, j), tp.at(i, j))
+              << dag::elimination_name(elim) << " workers " << workers
+              << ": tiles differ at " << i << "," << j;
+    }
+  }
 }
 
 TEST(TiledQr, ParallelRunRecordsTrace) {
   const int n = 32, b = 8;
   auto a = Matrix<double>::random(n, n, 61);
-  const sim::Platform platform = sim::paper_platform();
-  PlanConfig pc;
-  pc.tile_size = b;
-  Plan plan(platform, n / b, n / b, pc);
   runtime::Trace trace;
   typename TiledQrFactorization<double>::Options opts;
-  opts.plan = &plan;
+  opts.workers = 2;
   opts.trace = &trace;
   auto f = TiledQrFactorization<double>::factor(a, b, opts);
   EXPECT_EQ(trace.events().size(), f.graph().size());

@@ -95,11 +95,9 @@ TEST_P(ConsistencyFuzz, ParallelWriteHistoryMatchesSequential) {
     std::vector<std::vector<int>> parallel(fc.resources);
     std::mutex m;
     runtime::DagExecutor::Options opts;
-    opts.num_devices = 3;
-    opts.threads_per_device = {2, 2, 2};
+    opts.workers = 6;
     runtime::DagExecutor::run(
-        fc.graph, [](task_id t, const Task&) { return t % 3; },
-        [&](task_id t, const Task&, int) {
+        fc.graph, [&](task_id t, const Task&, int) {
           std::lock_guard<std::mutex> lock(m);
           for (const auto& [res, writes] : fc.accesses[t])
             if (writes) parallel[res].push_back(t);

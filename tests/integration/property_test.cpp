@@ -198,16 +198,10 @@ TEST(ScheduleInvariance, AllEliminationVariantsSolveIdentically) {
 TEST(ScheduleInvariance, ThreadCountDoesNotChangeFactors) {
   const int n = 48, b = 8;
   auto a = la::graded_rows<double>(n, n, 4.0, 57);
-  const sim::Platform platform = sim::paper_platform();
-  PlanConfig pc;
-  pc.tile_size = b;
-  Plan plan(platform, n / b, n / b, pc);
-
   la::Matrix<double> reference;
   for (int threads : {1, 2, 4}) {
     typename TiledQrFactorization<double>::Options opts;
-    opts.plan = &plan;
-    opts.threads_per_device = threads;
+    opts.workers = threads;
     auto f = TiledQrFactorization<double>::factor(a, b, opts);
     auto r = f.r();
     if (threads == 1) {

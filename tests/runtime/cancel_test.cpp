@@ -65,15 +65,14 @@ TEST(CancelToken, WakerFiresOnCancelAndOnLateRegistration) {
 
 TEST(DagExecutorCancel, CancelBeforeExecuteThrowsAndRunsNothing) {
   DagExecutor::Options opts;
-  opts.num_devices = 1;
+  opts.workers = 1;
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(8);
   std::atomic<int> ran{0};
   CancelToken token;
   token.request_cancel();
   EXPECT_THROW(engine.execute(
-                   g, [](task_id, const Task&) { return 0; },
-                   [&](task_id, const Task&, int) { ran.fetch_add(1); },
+                   g, [&](task_id, const Task&, int) { ran.fetch_add(1); },
                    nullptr, &token),
                Cancelled);
   EXPECT_EQ(ran.load(), 0);
@@ -82,8 +81,7 @@ TEST(DagExecutorCancel, CancelBeforeExecuteThrowsAndRunsNothing) {
   // The token is reusable after reset(), and the engine is unharmed.
   token.reset();
   engine.execute(
-      g, [](task_id, const Task&) { return 0; },
-      [&](task_id, const Task&, int) { ran.fetch_add(1); }, nullptr, &token);
+      g, [&](task_id, const Task&, int) { ran.fetch_add(1); }, nullptr, &token);
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(engine.runs_completed(), 1u);
 }
@@ -91,8 +89,7 @@ TEST(DagExecutorCancel, CancelBeforeExecuteThrowsAndRunsNothing) {
 TEST(DagExecutorCancel, MidRunCancelAbortsPromptlyAndEngineStaysUsable) {
   constexpr int kTasks = 200;
   DagExecutor::Options opts;
-  opts.num_devices = 2;
-  opts.threads_per_device = {1, 1};
+  opts.workers = 2;
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(kTasks);
   std::atomic<int> ran{0};
@@ -109,8 +106,7 @@ TEST(DagExecutorCancel, MidRunCancelAbortsPromptlyAndEngineStaysUsable) {
   std::string what;
   try {
     engine.execute(
-        g, [](task_id, const Task&) { return 0; },
-        [&](task_id, const Task&, int) {
+        g, [&](task_id, const Task&, int) {
           ran.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         },
@@ -133,8 +129,8 @@ TEST(DagExecutorCancel, MidRunCancelAbortsPromptlyAndEngineStaysUsable) {
   token.reset();
   std::atomic<int> ran2{0};
   engine.execute(
-      g, [](task_id, const Task&) { return 0; },
-      [&](task_id, const Task&, int) { ran2.fetch_add(1); }, nullptr, &token);
+      g, [&](task_id, const Task&, int) { ran2.fetch_add(1); }, nullptr,
+      &token);
   EXPECT_EQ(ran2.load(), kTasks);
   EXPECT_EQ(engine.runs_completed(), 1u);
 }
@@ -144,14 +140,13 @@ TEST(DagExecutorCancel, CancelDuringLastKernelStillReportsCancelled) {
   // reported Cancelled (the deadline story — "too late" stays too late even
   // if the kernel happened to finish), and it never counts as completed.
   DagExecutor::Options opts;
-  opts.num_devices = 1;
+  opts.workers = 1;
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(4);
   std::atomic<int> ran{0};
   CancelToken token;
   EXPECT_THROW(engine.execute(
-                   g, [](task_id, const Task&) { return 0; },
-                   [&](task_id t, const Task&, int) {
+                   g, [&](task_id t, const Task&, int) {
                      ran.fetch_add(1);
                      if (t == 3) token.request_cancel();  // mid-last-kernel
                    },
@@ -165,13 +160,12 @@ TEST(DagExecutorCancel, KernelFailureStillReportedAsOriginalError) {
   // A kernel exception must not be relabelled kCancelled even when a cancel
   // arrives while the failure is unwinding.
   DagExecutor::Options opts;
-  opts.num_devices = 1;
+  opts.workers = 1;
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(6);
   CancelToken token;
   EXPECT_THROW(engine.execute(
-                   g, [](task_id, const Task&) { return 0; },
-                   [&](task_id t, const Task&, int) {
+                   g, [&](task_id t, const Task&, int) {
                      if (t == 2) throw Error("kernel exploded");
                    },
                    nullptr, &token),
@@ -179,8 +173,7 @@ TEST(DagExecutorCancel, KernelFailureStillReportedAsOriginalError) {
   token.reset();
   std::atomic<int> ran{0};
   engine.execute(
-      g, [](task_id, const Task&) { return 0; },
-      [&](task_id, const Task&, int) { ran.fetch_add(1); }, nullptr, &token);
+      g, [&](task_id, const Task&, int) { ran.fetch_add(1); }, nullptr, &token);
   EXPECT_EQ(ran.load(), 6);
 }
 
@@ -206,7 +199,7 @@ TEST(DagExecutorCancel, DroppedTasksAreAccountedInTraceAndCounters) {
   constexpr int kTasks = 8;
   ExecCounters counters;
   DagExecutor::Options opts;
-  opts.num_devices = 1;
+  opts.workers = 1;
   opts.counters = &counters;
   DagExecutor engine(opts);
   dag::TaskGraph g = independent(kTasks);
@@ -214,8 +207,7 @@ TEST(DagExecutorCancel, DroppedTasksAreAccountedInTraceAndCounters) {
   CancelToken token;
   Trace trace;
   EXPECT_THROW(engine.execute(
-                   g, [](task_id, const Task&) { return 0; },
-                   [&](task_id, const Task&, int) {
+                   g, [&](task_id, const Task&, int) {
                      if (ran.fetch_add(1) == 0) token.request_cancel();
                    },
                    &trace, &token),
@@ -245,14 +237,13 @@ TEST(DagExecutorCancel, CleanRunRecordsNoDropInstants) {
   // ever come from aborted/failed runs.
   ExecCounters counters;
   DagExecutor::Options opts;
-  opts.num_devices = 1;
+  opts.workers = 1;
   opts.counters = &counters;
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(16);
   Trace trace;
   engine.execute(
-      g, [](task_id, const Task&) { return 0; },
-      [](task_id, const Task&, int) {}, &trace);
+      g, [](task_id, const Task&, int) {}, &trace);
   for (const TraceEvent& e : trace.events())
     EXPECT_EQ(e.kind, TraceEvent::Kind::kTask);
   EXPECT_EQ(counters.drained_tasks.load(), 0u);

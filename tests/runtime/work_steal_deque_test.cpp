@@ -44,7 +44,7 @@ TEST(WorkStealDeque, PushReportsFullInsteadOfOverwriting) {
   WorkStealDeque d(2);  // rounds to capacity 2
   EXPECT_TRUE(d.push(1));
   EXPECT_TRUE(d.push(2));
-  EXPECT_FALSE(d.push(3));  // caller spills to the inbox ring
+  EXPECT_FALSE(d.push(3));  // caller spills to the shared ring
   std::int32_t t;
   ASSERT_TRUE(d.pop(t));
   EXPECT_EQ(t, 2);

@@ -18,21 +18,12 @@ PlanKey key_for(la::index_t n, int tile, la::index_t inner_block = 0) {
 
 class PlanCacheTest : public ::testing::Test {
  protected:
-  PlanCacheTest()
-      : platform_(sim::paper_platform_with_gpus(2)) {}
-
   PlanCache::Builder builder_for(la::index_t n, int tile) {
-    return [this, n, tile]() -> PlanEntry {
-      core::PlanConfig cfg;
-      cfg.tile_size = tile;
-      core::Plan plan(platform_, n / tile, n / tile, cfg);
-      dag::TaskGraph graph =
-          dag::build_tiled_qr_graph(n / tile, n / tile, cfg.elim);
-      return PlanEntry{std::move(plan), std::move(graph)};
+    return [n, tile] {
+      return dag::build_tiled_qr_graph(n / tile, n / tile,
+                                       dag::Elimination::kTt);
     };
   }
-
-  sim::Platform platform_;
 };
 
 TEST_F(PlanCacheTest, MissThenHitSharesOneEntry) {
@@ -59,7 +50,7 @@ TEST_F(PlanCacheTest, DistinctKeysDistinctEntries) {
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.stats().size, 3u);
-  EXPECT_EQ(a->graph.size(),
+  EXPECT_EQ(a->size(),
             dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTt).size());
 }
 
@@ -86,8 +77,8 @@ TEST_F(PlanCacheTest, EvictionKeepsLeasedEntryAlive) {
   cache.get_or_build(key_for(128, 16), builder_for(128, 16));
   EXPECT_EQ(cache.stats().evictions, 1u);
   // The evicted entry is still usable through our shared_ptr.
-  EXPECT_GT(held->graph.size(), 0u);
-  EXPECT_EQ(held->plan.mt(), 4);
+  EXPECT_EQ(held->size(),
+            dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTt).size());
 }
 
 TEST_F(PlanCacheTest, InnerBlockSeparatesConfigs) {
@@ -114,7 +105,7 @@ TEST_F(PlanCacheTest, ZeroCapacityRejected) {
 TEST_F(PlanCacheTest, ConcurrentSameKeyConvergesToOneEntry) {
   PlanCache cache(4);
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const PlanEntry>> got(kThreads);
+  std::vector<std::shared_ptr<const dag::TaskGraph>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {

@@ -71,11 +71,15 @@ TEST(QrService, RepeatedShapeHitsPlanCache) {
 }
 
 TEST(QrService, WideMatrixFails) {
+  // rows < cols is a caller error: resolved kInvalid at submit, as is an
+  // empty matrix.
   QrService service;
   auto result = service.submit(spec_for(32, 64, 5, false)).get();
-  EXPECT_EQ(result.status, JobStatus::kFailed);
-  EXPECT_FALSE(result.error.empty());
-  // A failed job must not poison the lane for the next one.
+  EXPECT_EQ(result.status, JobStatus::kInvalid);
+  EXPECT_NE(result.error.find("rows < cols"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(service.submit(JobSpec{}).get().status, JobStatus::kInvalid);
+  // A rejected job must not poison the lane for the next one.
   auto ok = service.submit(spec_for(64, 64, 6, false)).get();
   EXPECT_EQ(ok.status, JobStatus::kOk) << ok.error;
 }
@@ -148,7 +152,6 @@ TEST(QrService, StatsTrackLatencyAndThroughput) {
 TEST(QrService, ColdConfigDisablesCacheAndReuse) {
   ServiceConfig config;
   config.plan_cache_enabled = false;
-  config.workspace_max_bytes = 0;
   config.reuse_engines = false;
   QrService service(config);
   auto a = service.submit(spec_for(96, 96, 50, true)).get();
@@ -160,7 +163,6 @@ TEST(QrService, ColdConfigDisablesCacheAndReuse) {
   EXPECT_FALSE(b.plan_cache_hit);
   const auto s = service.stats();
   EXPECT_EQ(s.plan_cache.hits, 0u);
-  EXPECT_EQ(s.workspace.reused, 0u);
 }
 
 TEST(QrService, DestructorDrainsAcceptedJobs) {

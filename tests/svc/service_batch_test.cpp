@@ -1,9 +1,10 @@
 // Batched job kind end to end: one JobSpec carrying N small matrices through
 // the chunk-interleaved engine, with verification, cancellation, and
 // corruption quarantine acting per member while queueing, planning, and
-// workspace act per batch.
+// planes act per batch.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
@@ -84,19 +85,20 @@ TEST(ServiceBatch, FactorsEveryMemberAndMatchesScalarR) {
   EXPECT_GT(stats.batch_occupancy, 0.0);
 }
 
-TEST(ServiceBatch, SecondSameShapeBatchHitsThePlanCache) {
+TEST(ServiceBatch, BatchesNeverTouchThePlanCache) {
+  // The interleaved engine runs no task graph, so a batch neither builds
+  // nor looks one up.
   QrService service{ServiceConfig{}};
   for (int round = 0; round < 2; ++round) {
     JobSpec spec;
     spec.batch = random_batch(8, 8, 5, 200 + 10 * round);
     const auto r = service.submit(std::move(spec)).get();
     ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
-    EXPECT_EQ(r.plan_cache_hit, round > 0);
+    EXPECT_FALSE(r.plan_cache_hit);
   }
-  // One pooled lease per batch, recycled across the two jobs.
-  const auto ws = service.stats().workspace;
-  EXPECT_EQ(ws.allocated, 1u);
-  EXPECT_EQ(ws.reused, 1u);
+  const auto cache = service.stats().plan_cache;
+  EXPECT_EQ(cache.hits + cache.misses, 0u);
+  EXPECT_EQ(cache.size, 0u);
 }
 
 TEST(ServiceBatch, Fp32BatchStaysWithinFloatTolerance) {
@@ -119,12 +121,21 @@ TEST(ServiceBatch, BatchPlusSingleMatrixSpecIsRejected) {
   spec.a = la::Matrix<double>::random(8, 8, 1);
   spec.batch = random_batch(8, 8, 2, 2);
   const auto result = service.submit(std::move(spec)).get();
-  EXPECT_EQ(result.status, JobStatus::kFailed);
-  EXPECT_FALSE(result.error.empty());
-  // Wide members are rejected the same way.
+  EXPECT_EQ(result.status, JobStatus::kInvalid);
+  EXPECT_NE(result.error.find("both"), std::string::npos) << result.error;
+  // Wide members and members of differing shapes are rejected the same way.
   JobSpec wide;
   wide.batch.push_back(la::Matrix<double>::random(4, 6, 3));
-  EXPECT_EQ(service.submit(std::move(wide)).get().status, JobStatus::kFailed);
+  EXPECT_EQ(service.submit(std::move(wide)).get().status,
+            JobStatus::kInvalid);
+  JobSpec mixed;
+  mixed.batch = random_batch(8, 8, 3, 4);
+  mixed.batch.push_back(la::Matrix<double>::random(8, 4, 5));
+  const auto rm = service.submit(std::move(mixed)).get();
+  EXPECT_EQ(rm.status, JobStatus::kInvalid);
+  EXPECT_NE(rm.error.find("batch member 3"), std::string::npos) << rm.error;
+  EXPECT_EQ(service.stats().jobs_invalid, 3u);
+  EXPECT_EQ(service.stats().jobs_failed, 0u);
 }
 
 TEST(ServiceBatch, ImmediateDeadlineCancelsUnranMembersCleanly) {
@@ -222,6 +233,63 @@ TEST(ServiceBatch, ProbeCatchesAPerturbedMember) {
   EXPECT_EQ(result.problems_ok, 5);
   ASSERT_EQ(result.problem_status.size(), 6u);
   EXPECT_EQ(result.problem_status[5], JobStatus::kCorrupted);
+}
+
+/// `count` random 16 x 16 members with every entry multiplied by `scale`.
+std::vector<la::Matrix<double>> scaled_batch(double scale, int count,
+                                             std::uint64_t seed) {
+  auto batch = random_batch(16, 16, count, seed);
+  for (la::Matrix<double>& a : batch)
+    for (la::index_t j = 0; j < a.cols(); ++j)
+      for (la::index_t i = 0; i < a.rows(); ++i) a(i, j) *= scale;
+  return batch;
+}
+
+TEST(ServiceBatch, ExtremeScaleBatchesPassEveryVerifyTier) {
+  // Near the overflow and underflow thresholds, unscaled sums of squares
+  // turn into Inf or 0: a clean member must still verify, with a residual
+  // that is finite and not a flushed-to-zero "0".
+  QrService service{ServiceConfig{}};
+  for (const double scale : {1e155, 1e-155, 1e-300}) {
+    for (const Verify tier : {Verify::kScan, Verify::kProbe, Verify::kFull}) {
+      JobSpec spec;
+      spec.batch = scaled_batch(scale, 32, 900);
+      spec.verify = tier;
+      const auto r = service.submit(std::move(spec)).get();
+      ASSERT_EQ(r.status, JobStatus::kOk)
+          << "scale " << scale << " tier " << to_string(tier) << ": "
+          << r.error;
+      EXPECT_EQ(r.problems_ok, 32);
+      for (const JobStatus st : r.problem_status) EXPECT_EQ(st, JobStatus::kOk);
+      EXPECT_TRUE(std::isfinite(r.verify_residual));
+      if (tier != Verify::kScan) {
+        EXPECT_GT(r.verify_residual, 0.0) << "scale " << scale;
+        EXPECT_LE(r.verify_residual, la::verify_tolerance<double>(16));
+      }
+    }
+  }
+}
+
+TEST(ServiceBatch, ExtremeScaleCorruptedMemberIsStillCaught) {
+  // An epsilon-scale perturbation of one member at 1e155: an overflowed
+  // norm must not wave it through on any tier.
+  for (const Verify tier : {Verify::kScan, Verify::kProbe, Verify::kFull}) {
+    ServiceConfig config;
+    config.fault.mode = FaultConfig::Mode::kCorrupt;
+    config.fault.corrupt = FaultConfig::Corrupt::kPerturb;
+    config.fault.corrupt_scale = 1e-3;
+    config.fault.task = 7;
+    config.fault.max_injections = 1;
+    QrService service{config};
+    JobSpec spec;
+    spec.batch = scaled_batch(1e155, 32, 950);
+    spec.verify = tier;
+    const auto r = service.submit(std::move(spec)).get();
+    EXPECT_EQ(r.status, JobStatus::kCorrupted) << to_string(tier);
+    ASSERT_EQ(r.problem_status.size(), 32u);
+    EXPECT_EQ(r.problem_status[7], JobStatus::kCorrupted) << to_string(tier);
+    EXPECT_EQ(r.problems_ok, 31) << to_string(tier);
+  }
 }
 
 TEST(ServiceBatch, MetricsExposeBatchedCountersAndParseBack) {

@@ -78,10 +78,6 @@ TEST(ServiceStress, MixedShapeJobsFromManyThreads) {
   // Backpressure engaged: the small queue forced at least one submitter to
   // wait, and the high-water mark respected capacity.
   EXPECT_LE(stats.queue.high_water, config.queue_capacity);
-  // Workspace recycling carried the steady state: far fewer allocations
-  // than jobs.
-  EXPECT_LT(stats.workspace.allocated, 64u);
-  EXPECT_GT(stats.workspace.reused, 0u);
 }
 
 TEST(ServiceStress, SubmittersRaceDrainAndStats) {

@@ -123,8 +123,7 @@ TEST(ServiceVerify, ProbeDetectsEveryCorruptKindAcrossSeeds) {
 
 TEST(ServiceVerify, RetryHealsTransientCorruption) {
   // Self-healing: one injected corruption, two attempts — the first fails
-  // verification, the retry factors clean, and the failed attempt's
-  // workspace went back to the pool scrubbed.
+  // verification and the retry, on storage of its own, factors clean.
   ServiceConfig config = corrupting(FaultConfig::Corrupt::kBitFlip);
   config.fault.max_injections = 1;
   QrService service(config);
@@ -141,7 +140,6 @@ TEST(ServiceVerify, RetryHealsTransientCorruption) {
   EXPECT_EQ(s.jobs_retried, 1u);
   EXPECT_EQ(s.verify_failures, 1u);
   EXPECT_EQ(s.jobs_corrupted, 0u);  // healed, not terminal
-  EXPECT_GE(s.workspace.scrubbed, 1u);
 }
 
 TEST(ServiceVerify, FullTierEnforcesReconstructionResidual) {
@@ -271,6 +269,29 @@ TEST(ServiceQuarantine, CallerNaNNeverQuarantinesALane) {
   // Both lanes still serve clean work.
   EXPECT_EQ(service.submit(spec_for(64, 32, 600)).get().status,
             JobStatus::kOk);
+}
+
+TEST(ServiceQuarantine, CallerShapeErrorNeverQuarantinesALane) {
+  // A bad shape is the caller's error too: six wide jobs resolve kInvalid
+  // at submit and never reach a lane, so even a breaker that trips after
+  // two bad jobs stays closed.
+  ServiceConfig config;
+  config.lanes = 2;
+  config.quarantine_after = 2;
+  QrService service(config);
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 6; ++i)
+    futures.push_back(service.submit(spec_for(32, 64, 800 + i)));
+  for (auto& f : futures) {
+    const JobResult r = f.get();
+    EXPECT_EQ(r.status, JobStatus::kInvalid) << r.error;
+    EXPECT_EQ(r.lane, -1);
+  }
+  service.drain();
+  const obs::Registry::Snapshot m = service.metrics();
+  EXPECT_EQ(m.counters.at("lane.quarantines"), 0u);
+  EXPECT_EQ(m.counters.at("jobs.invalid"), 6u);
+  EXPECT_EQ(m.counters.at("jobs.failed"), 0u);
 }
 
 TEST(ServiceQuarantine, Fp32OverflowAndPoisonedBatchMemberAreInvalid) {

@@ -17,10 +17,14 @@ fail() { echo "FAIL: $1" >&2; exit 1; }
   | grep -q "wrote b.bin" || fail "gen bin"
 head -1 A.mtx | grep -q "%%MatrixMarket" || fail "mtx header"
 
-# factor: residuals at machine precision.
+# factor: residuals at machine precision, plus wall time and speed.
 out=$("$TQR" factor --in A.mtx --r R.mtx --q Q.bin)
 echo "$out" | grep -q "wrote R to R.mtx" || fail "factor outputs"
 echo "$out" | grep -Eq 'Q\^T Q - I.*e-1[4-9]' || fail "orthogonality residual: $out"
+echo "$out" | grep -Eq 'A - Q R.*e-1[4-9]' \
+  || fail "reconstruction residual: $out"
+echo "$out" | grep -Eq '^wall [0-9.]+ s = [0-9.]+ GFLOP/s$' \
+  || fail "factor speed: $out"
 
 # solve: QR and Cholesky methods.
 "$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1 \

@@ -2,6 +2,7 @@
 //
 //   tqr gen      --out A.mtx --rows 512 --cols 512 [--class uniform] [--seed 1]
 //   tqr factor   --in A.mtx [--tile 16] [--elim tt] [--q Q.bin] [--r R.mtx]
+//                (factors on every core; prints wall time and GFLOP/s)
 //   tqr solve    --in A.mtx --rhs b.mtx --out x.mtx [--tile 16] [--refine 1]
 //                (or --batch N --rows 16 --cols 16 for the batched engine)
 //   tqr simulate --size 3200 [--tile 16] [--gpus 3] [--nodes 1] [--fixed-p N]
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include <future>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "core/tiled_cholesky.hpp"
 #include "core/tiled_qr.hpp"
 #include "la/checks.hpp"
+#include "la/flops.hpp"
 #include "la/generators.hpp"
 #include "la/io.hpp"
 #include "svc/qr_service.hpp"
@@ -168,7 +171,7 @@ int cmd_factor(int argc, char** argv) {
   cli.flag("tile", "tile size", "16");
   cli.flag("ib", "inner blocking (0 = off)", "0");
   cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
-  cli.flag("q", "write explicit Q here");
+  cli.flag("q", "write the explicit m x m Q here");
   cli.flag("r", "write R here");
   if (!cli.parse(argc, argv)) return 0;
   const std::string in = cli.get_string("in", "");
@@ -183,25 +186,28 @@ int cmd_factor(int argc, char** argv) {
   typename core::TiledQrFactorization<double>::Options opts;
   opts.elim = parse_elim(cli.get_string("elim", "tt"));
   opts.inner_block = checked_ib(cli);
+  opts.workers =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  Timer wall;
   auto f = core::TiledQrFactorization<double>::factor(padded, b, opts);
+  const double secs = wall.seconds();
 
-  auto q = f.form_q();
-  auto r = f.r();
-  la::Matrix<double> r_full(padded.rows(), padded.cols());
-  for (la::index_t j = 0; j < padded.cols(); ++j)
-    for (la::index_t i = 0; i <= j && i < padded.rows(); ++i)
-      r_full(i, j) = r(i, j);
-  std::printf("factored %s: %d x %d, tile %d%s, %zu kernels\n", in.c_str(),
-              a.rows(), a.cols(), b, was_padded ? " (padded)" : "",
-              f.graph().size());
+  std::printf("factored %s: %d x %d, tile %d%s, %zu kernels, %d workers\n",
+              in.c_str(), a.rows(), a.cols(), b,
+              was_padded ? " (padded)" : "", f.graph().size(), opts.workers);
+  std::printf("wall %.4f s = %.2f GFLOP/s\n", secs,
+              la::flops_qr(a.rows(), a.cols()) / secs * 1e-9);
+  // Residuals from the thin m x n Q, so large problems stay checkable.
+  const auto q = f.form_q_thin();
+  const auto r = f.r();
   std::printf("||Q^T Q - I||_F / n     = %.3e\n",
               la::orthogonality_residual<double>(q.view()));
   std::printf("||A - Q R||_F / ||A||_F = %.3e\n",
               la::reconstruction_residual<double>(padded.view(), q.view(),
-                                                  r_full.view()));
+                                                  r.view()));
   const std::string q_path = cli.get_string("q", "");
   if (!q_path.empty()) {
-    la::write_matrix(q_path, q.view());
+    la::write_matrix(q_path, f.form_q().view());
     std::printf("wrote Q to %s\n", q_path.c_str());
   }
   const std::string r_path = cli.get_string("r", "");
@@ -488,7 +494,6 @@ int cmd_serve(int argc, char** argv) {
   cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
   cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
-  cli.flag("gpus", "GPUs in the modeled node (0-3)", "3");
   cli.flag("queue", "job queue capacity", "64");
   cli.flag("admission", "block|reject", "block");
   cli.flag("queue-deadline-ms", "expire jobs queued longer than this (0=off)",
@@ -549,7 +554,6 @@ int cmd_serve(int argc, char** argv) {
   config.lanes = static_cast<int>(cli.get_int("lanes", 2));
   config.default_tile = static_cast<int>(checked_dim(cli, "tile", 16));
   config.inner_block = checked_ib(cli);
-  config.gpus = static_cast<int>(cli.get_int("gpus", 3));
   config.quarantine_after =
       static_cast<int>(cli.get_int("quarantine-after", 0));
   config.probation_s = cli.get_double("probation-ms", 0) * 1e-3;
@@ -681,8 +685,6 @@ int cmd_serve(int argc, char** argv) {
         " \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"mean\": %.3f},\n"
         " \"plan_cache\": {\"hits\": %llu, \"misses\": %llu, "
         "\"hit_rate\": %.4f},\n"
-        " \"workspace\": {\"allocated\": %llu, \"reused\": %llu, "
-        "\"scrubbed\": %llu},\n"
         " \"queue\": {\"high_water\": %llu, \"blocked_pushes\": %llu},\n"
         " \"batched\": {\"jobs\": %llu, \"problems\": %llu, "
         "\"problems_ok\": %lld, \"occupancy\": %.4f},\n"
@@ -700,9 +702,6 @@ int cmd_serve(int argc, char** argv) {
         s.mean_ms, static_cast<unsigned long long>(s.plan_cache.hits),
         static_cast<unsigned long long>(s.plan_cache.misses),
         s.plan_cache.hit_rate(),
-        static_cast<unsigned long long>(s.workspace.allocated),
-        static_cast<unsigned long long>(s.workspace.reused),
-        static_cast<unsigned long long>(s.workspace.scrubbed),
         static_cast<unsigned long long>(s.queue.high_water),
         static_cast<unsigned long long>(s.queue.blocked_pushes),
         static_cast<unsigned long long>(s.batched_jobs),
@@ -720,11 +719,9 @@ int cmd_serve(int argc, char** argv) {
                 static_cast<unsigned long long>(s.faults_injected),
                 static_cast<unsigned long long>(s.jobs_retried));
   if (verify != svc::Verify::kNone || s.verify_failures > 0)
-    std::printf("verification    tier %s, %llu detections, %llu scrubbed "
-                "workspaces\n",
+    std::printf("verification    tier %s, %llu detections\n",
                 svc::to_string(verify),
-                static_cast<unsigned long long>(s.verify_failures),
-                static_cast<unsigned long long>(s.workspace.scrubbed));
+                static_cast<unsigned long long>(s.verify_failures));
   if (s.lane_quarantines > 0)
     std::printf("quarantine      %d lanes out now, %llu quarantines, "
                 "%llu probations\n",
@@ -739,10 +736,6 @@ int cmd_serve(int argc, char** argv) {
               static_cast<unsigned long long>(s.plan_cache.hits),
               static_cast<unsigned long long>(s.plan_cache.misses),
               100.0 * s.plan_cache.hit_rate());
-  std::printf("workspaces      %llu allocated, %llu reused, %.1f MB retained\n",
-              static_cast<unsigned long long>(s.workspace.allocated),
-              static_cast<unsigned long long>(s.workspace.reused),
-              s.workspace.bytes_retained / 1048576.0);
   std::printf("queue           high water %llu / %zu, %llu blocked pushes\n",
               static_cast<unsigned long long>(s.queue.high_water),
               config.queue_capacity,
