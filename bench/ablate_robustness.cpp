@@ -53,7 +53,6 @@ ChaosCell run_chaos_cell(tqr::svc::Verify verify,
   using namespace tqr;
   svc::ServiceConfig cfg;
   cfg.lanes = 2;
-  cfg.default_tile = tile;
   cfg.quarantine_after = 3;  // let the breaker participate in the study
   cfg.fault.mode = svc::FaultConfig::Mode::kCorrupt;
   cfg.fault.corrupt = kind;

@@ -50,7 +50,6 @@ struct ChaosRun {
 /// chaos config and tallies the outcome mix.
 ChaosRun run_batch(cluster::ClusterConfig cfg, int jobs, int n, int b,
                    double pace_s) {
-  cfg.node.default_tile = b;
   cluster::Cluster c(cfg);
   std::vector<cluster::Cluster::Submission> subs;
   subs.reserve(static_cast<std::size_t>(jobs));
@@ -58,6 +57,11 @@ ChaosRun run_batch(cluster::ClusterConfig cfg, int jobs, int n, int b,
   for (int j = 0; j < jobs; ++j) {
     svc::JobSpec spec;
     spec.a = la::Matrix<double>::random(n, n, 100 + j);
+    spec.tile_size = b;
+    // The chaos schedules (a crash 0.05 s into a 1 ms-paced batch, a 20 ms
+    // hedge) are timed against TT jobs; TS jobs of this size finish before
+    // the crash lands, and the gate would see no job to lose.
+    spec.elim = dag::Elimination::kTt;
     subs.push_back(c.submit(std::move(spec)));
     if (pace_s > 0)
       std::this_thread::sleep_for(std::chrono::duration<double>(pace_s));

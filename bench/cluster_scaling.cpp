@@ -48,7 +48,6 @@ double service_jobs_per_s(int nodes, double inter_bw, int jobs, int n,
   cfg.inter_gbytes_per_s = inter_bw;
   cfg.policy = policy;
   cfg.node.lanes = 2;
-  cfg.node.default_tile = b;
   cluster::Cluster c(cfg);
   std::vector<cluster::Cluster::Submission> subs;
   subs.reserve(static_cast<std::size_t>(jobs));
@@ -56,6 +55,7 @@ double service_jobs_per_s(int nodes, double inter_bw, int jobs, int n,
   for (int j = 0; j < jobs; ++j) {
     svc::JobSpec spec;
     spec.a = la::Matrix<double>::random(n, n, 7 + j);
+    spec.tile_size = b;
     subs.push_back(c.submit(std::move(spec)));
   }
   for (auto& s : subs) s.future.get();

@@ -7,13 +7,16 @@
 //     kernel across a tile-size sweep, then emits per-kernel GFLOP/s as JSON.
 //     This is the perf-baseline trajectory: scripts/run_all_benches.sh
 //     refreshes BENCH_kernels.json from it, and PRs regress against the
-//     committed numbers (see docs/PERF.md).
+//     committed numbers (see docs/PERF.md). The same mode also times one
+//     whole 1024x1024 factorization at the host defaults (TS elimination,
+//     core::host_tile) on 1, 2 and 4 workers: the e2e.factor.* lines.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -348,6 +351,29 @@ void bench_tile_kernels(int b, double min_s, int ib,
   }
 }
 
+/// GFLOP/s of one n x n TiledQrFactorization<double>::factor call at the
+/// host defaults (TS, core::host_tile(n)), per worker count. Each call
+/// builds its graph and spawns its executor, as `tqr factor` does.
+std::vector<std::pair<int, double>> bench_e2e_factor(la::index_t n,
+                                                     double min_s, int ib) {
+  const auto a = Matrix<double>::random(n, n, 43);
+  const int b = core::host_tile(n);
+  std::vector<std::pair<int, double>> out;
+  for (const int workers : {1, 2, 4}) {
+    core::TiledQrFactorization<double>::Options opts;
+    opts.inner_block = ib;
+    opts.workers = workers;
+    const double s = seconds_per_call(
+        [&] {
+          benchmark::DoNotOptimize(
+              core::TiledQrFactorization<double>::factor(a, b, opts));
+        },
+        min_s);
+    out.emplace_back(workers, la::flops_qr(n, n) / s * 1e-9);
+  }
+  return out;
+}
+
 int run_json_mode(bool quick, const std::string& out_path, int ib) {
   const double min_s = quick ? 0.02 : 0.15;
   const std::vector<int> tiles =
@@ -355,6 +381,8 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
   std::vector<JsonResult> results;
   for (int b : tiles) bench_gemm_pair(b, min_s, results);
   for (int b : tiles) bench_tile_kernels(b, min_s, ib, results);
+  constexpr la::index_t kE2eN = 1024;
+  const auto e2e = bench_e2e_factor(kE2eN, min_s, ib);
 
   double naive256 = 0, packed256 = 0;
   for (const auto& r : results) {
@@ -376,6 +404,16 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
                 "  \"gemm_speedup_at_%d\": %.3f,\n", tiles.back(),
                 naive256 > 0 ? packed256 / naive256 : 0.0);
   json += buf;
+  // bench_diff keys these e2e.factor.n1024.w<workers>.gflops.
+  std::snprintf(buf, sizeof buf, "  \"e2e\": {\"factor\": {\"n%d\": {",
+                kE2eN);
+  json += buf;
+  for (std::size_t i = 0; i < e2e.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s\"w%d\": {\"gflops\": %.3f}",
+                  i ? ", " : "", e2e[i].first, e2e[i].second);
+    json += buf;
+  }
+  json += "}}},\n";
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

@@ -84,7 +84,7 @@ struct RunMetrics {
 
 /// Replays the trace round-robin (shapes interleaved, the pattern a real
 /// queue would see) and returns wall-clock throughput over the replay only.
-/// `proto` carries the per-job policy knobs (deadlines, retries); `strict`
+/// `proto` carries the per-job knobs (tile, deadlines, retries); `strict`
 /// replays require kOk for every job, non-strict ones count the outcomes.
 RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
                   std::uint64_t seed, const svc::JobSpec& proto = {},
@@ -99,6 +99,7 @@ RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
       any = true;
       svc::JobSpec spec;
       spec.a = la::Matrix<double>::random(s.rows, s.cols, seed++);
+      spec.tile_size = proto.tile_size;
       spec.queue_deadline_s = proto.queue_deadline_s;
       spec.exec_deadline_s = proto.exec_deadline_s;
       spec.max_attempts = proto.max_attempts;
@@ -169,12 +170,13 @@ struct SweepPoint {
 /// The p99 is over JobResult::queue_s — the submit-to-pick path whose
 /// serialization this sweep exists to measure.
 SweepPoint sweep_level(const svc::ServiceConfig& cfg, la::index_t n,
-                       int submitters, int per_submitter,
+                       int tile, int submitters, int per_submitter,
                        std::uint64_t seed) {
   svc::QrService service(cfg);
   {
     // Prime the plan cache so every measured job runs at steady state.
     svc::JobSpec warmup;
+    warmup.tile_size = tile;
     warmup.a = la::Matrix<double>::random(n, n, seed);
     service.submit(std::move(warmup)).get();
   }
@@ -188,6 +190,7 @@ SweepPoint sweep_level(const svc::ServiceConfig& cfg, la::index_t n,
       futures.reserve(static_cast<std::size_t>(per_submitter));
       for (int j = 0; j < per_submitter; ++j) {
         svc::JobSpec spec;
+        spec.tile_size = tile;
         spec.a = la::Matrix<double>::random(
             n, n, seed + 1 + static_cast<std::uint64_t>(s) * 1000 +
                       static_cast<std::uint64_t>(j));
@@ -288,7 +291,10 @@ int main(int argc, char** argv) try {
 
   svc::ServiceConfig base;
   base.lanes = static_cast<int>(cli.get_int("lanes", 2));
-  base.default_tile = static_cast<int>(cli.get_int("tile", 16));
+  // Every job runs at --tile (16 by default, not core::host_tile), so the
+  // committed sweep.* baseline keeps comparing like with like.
+  svc::JobSpec base_job;
+  base_job.tile_size = static_cast<int>(cli.get_int("tile", 16));
 
   // Cold: every job pays DAG construction and a full executor
   // spawn/teardown — the seed's one-shot cost structure.
@@ -299,7 +305,7 @@ int main(int argc, char** argv) try {
   {
     svc::QrService service(cold_cfg);
     for (int rep = 0; rep < repeats; ++rep) {
-      RunMetrics m = replay(service, trace, seed + rep);
+      RunMetrics m = replay(service, trace, seed + rep, base_job);
       if (rep == 0 || m.wall_s < cold.wall_s) cold = m;
     }
   }
@@ -311,9 +317,9 @@ int main(int argc, char** argv) try {
     svc::QrService service(base);
     std::vector<TraceShape> warmup;
     for (const auto& s : trace) warmup.push_back({s.rows, s.cols, 1});
-    (void)replay(service, warmup, seed + 1000);
+    (void)replay(service, warmup, seed + 1000, base_job);
     for (int rep = 0; rep < repeats; ++rep) {
-      RunMetrics m = replay(service, trace, seed + rep);
+      RunMetrics m = replay(service, trace, seed + rep, base_job);
       if (rep == 0 || m.wall_s < warm.wall_s) warm = m;
     }
   }
@@ -339,7 +345,7 @@ int main(int argc, char** argv) try {
     fault_cfg.quarantine_after =
         static_cast<int>(cli.get_int("quarantine-after", 0));
     fault_cfg.probation_s = cli.get_double("probation-ms", 0) * 1e-3;
-    svc::JobSpec proto;
+    svc::JobSpec proto = base_job;
     proto.exec_deadline_s = cli.get_double("exec-deadline-ms", 0) * 1e-3;
     proto.max_attempts = static_cast<int>(cli.get_int("retries", 2));
     proto.retry_backoff_s = cli.get_double("retry-backoff-ms", 0) * 1e-3;
@@ -368,12 +374,13 @@ int main(int argc, char** argv) try {
         static_cast<la::index_t>(cli.get_int("sweep-size", 64));
     for (int s : parse_int_list(levels)) {
       TQR_REQUIRE(s > 0, "--sweep-submitters entries must be >= 1");
-      sweep.push_back(sweep_level(base, n, s, per, seed + 3000));
+      sweep.push_back(
+          sweep_level(base, n, base_job.tile_size, s, per, seed + 3000));
     }
   }
 
   std::printf("{\"trace\": \"%s\", \"lanes\": %d, \"tile\": %d,\n",
-              spec.c_str(), base.lanes, base.default_tile);
+              spec.c_str(), base.lanes, base_job.tile_size);
   print_metrics("cold", cold, false);
   print_metrics("warm", warm, false);
   if (!sweep.empty()) {

@@ -54,7 +54,10 @@ if [[ "$MODE" == "chaos" ]]; then
     --current "$OUT_DIR/chaos_current.json"
 
   echo "== tqr cluster failover trace + metrics smoke =="
+  # --tile 16 --elim tt: the crash at 0.03 s is timed against jobs at the
+  # paper's setting; at the host defaults the batch finishes first.
   "$BUILD_DIR/tools/tqr" cluster --jobs 192x192:12 --policy rr --lanes 1 \
+    --tile 16 --elim tt \
     --fault-kind crash --fault-at 0.03 --failover 3 \
     --trace-out "$OUT_DIR/chaos_trace.json" \
     --metrics-out "$OUT_DIR/chaos_metrics.json" --json
@@ -93,6 +96,13 @@ if [[ "$MODE" == "perf" ]]; then
     --current "$OUT_DIR/kernels_current.json" \
     --tolerance "${PERF_TOLERANCE:-0.35}" \
     --anchor gflops.gemm_naive.t128
+  echo "== bench_diff e2e gate (whole factorization, host defaults) =="
+  "$BUILD_DIR/bench/bench_diff" \
+    --baseline "$REPO_DIR/BENCH_kernels.json" \
+    --current "$OUT_DIR/kernels_current.json" \
+    --tolerance "${PERF_TOLERANCE:-0.35}" \
+    --anchor gflops.gemm_naive.t128 \
+    --only e2e
 
   echo "== service throughput (quick, contended sweep) =="
   "$BUILD_DIR/bench/serve_throughput" --quick --repeats 1 --sweep \

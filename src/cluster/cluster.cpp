@@ -8,6 +8,7 @@
 #include "core/device_count.hpp"
 #include "core/main_selection.hpp"
 #include "core/step_profile.hpp"
+#include "core/tiled_qr.hpp"
 
 namespace tqr::cluster {
 
@@ -190,7 +191,7 @@ double Cluster::est_exec_s(la::index_t pr, la::index_t pc, int b,
 std::vector<NodeState> Cluster::node_states(la::index_t rows,
                                             la::index_t cols, int tile_size,
                                             dag::Elimination elim) const {
-  const int b = tile_size > 0 ? tile_size : config_.node.default_tile;
+  const int b = tile_size > 0 ? tile_size : core::host_tile(cols);
   const double exec = est_exec_s(round_up(rows, b), round_up(cols, b), b,
                                  elim);
   const auto bytes =

@@ -196,8 +196,9 @@ class Cluster {
   /// depth, active (non-quarantined, non-crashed) lanes, the Eq. 10/11 exec
   /// estimate on the node platform, the link-aware ship cost from the front
   /// end (co-located with node 0, flaky-link degradation folded in), and
-  /// the health tracker's failure rate / breaker verdict. Exposed for tests
-  /// and benches.
+  /// the health tracker's failure rate / breaker verdict. A tile_size of 0
+  /// estimates at core::host_tile(cols), the tile the node will run.
+  /// Exposed for tests and benches.
   std::vector<NodeState> node_states(la::index_t rows, la::index_t cols,
                                      int tile_size,
                                      dag::Elimination elim) const;

@@ -4,6 +4,13 @@
 
 namespace tqr::core {
 
+la::index_t host_tile(la::index_t cols) {
+  if (cols >= 1024) return 128;
+  for (const la::index_t b : {64, 32})
+    if (b <= cols / 2) return b;
+  return 16;
+}
+
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -46,7 +53,10 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
     const la::Matrix<T>& a, int b, const Options& options) {
   TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
   la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
-  la::TiledMatrix<T> tg(tiles.rows(), tiles.cols(), b);
+  // TS runs geqrt on the diagonal tiles only, so its tg plane is n x n.
+  la::TiledMatrix<T> tg(
+      options.elim == dag::Elimination::kTs ? tiles.cols() : tiles.rows(),
+      tiles.cols(), b);
   la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
   dag::TaskGraph graph = dag::build_tiled_qr_graph(
       tiles.tile_rows(), tiles.tile_cols(), options.elim, options.hier_groups);

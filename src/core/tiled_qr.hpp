@@ -20,6 +20,13 @@
 
 namespace tqr::core {
 
+/// Host tile size for a matrix with `cols` columns, read off the measured
+/// tile x elimination ladder (docs/PERF.md): 128 once cols >= 1024;
+/// otherwise the largest of 16, 32 and 64 that is at most cols / 2, and 16
+/// below that, so the identity padding never dominates a small job. The
+/// simulator keeps the paper's b = 16 (core::PlanConfig).
+la::index_t host_tile(la::index_t cols);
+
 /// Executes one task against tile storage. Exposed so executors, tests, and
 /// the examples can drive custom schedules. inner_block is the factor
 /// kernels' recursion leaf width (la::geqrt; 0 = library default).
@@ -43,7 +50,7 @@ template <typename T>
 class TiledQrFactorization {
  public:
   struct Options {
-    dag::Elimination elim = dag::Elimination::kTt;
+    dag::Elimination elim = dag::Elimination::kTs;
     /// Row groups for Elimination::kHier (0 = single group).
     std::int32_t hier_groups = 0;
     /// Inner blocking width for the tile kernels (0 = unblocked). Purely a
@@ -103,7 +110,7 @@ class TiledQrFactorization {
         inner_block_(inner_block) {}
 
   la::TiledMatrix<T> a_;
-  la::TiledMatrix<T> tg_;  // geqrt block-reflector factors
+  la::TiledMatrix<T> tg_;  // geqrt block-reflector factors (n x n under TS)
   la::TiledMatrix<T> te_;  // elimination block-reflector factors
   dag::TaskGraph graph_;
   dag::Elimination elim_;
@@ -113,7 +120,7 @@ class TiledQrFactorization {
 /// One-call convenience: QR-based least-squares solve of A x = b.
 template <typename T>
 la::Matrix<T> qr_solve(const la::Matrix<T>& a, const la::Matrix<T>& b, int
-                       tile_size, dag::Elimination elim = dag::Elimination::kTt);
+                       tile_size, dag::Elimination elim = dag::Elimination::kTs);
 
 /// Outcome of qr_solve_mixed: the fp64 solution plus convergence
 /// diagnostics, so callers can tell whether the cheap factorization was
@@ -140,7 +147,7 @@ struct MixedSolveResult {
 /// factor kernels (0 = library default).
 MixedSolveResult qr_solve_mixed(const la::Matrix<double>& a,
                                 const la::Matrix<double>& b, int tile_size,
-                                dag::Elimination elim = dag::Elimination::kTt,
+                                dag::Elimination elim = dag::Elimination::kTs,
                                 int max_iterations = 8, double tolerance = 0,
                                 la::index_t inner_block = 0);
 

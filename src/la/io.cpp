@@ -1,9 +1,12 @@
 #include "la/io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -54,17 +57,21 @@ Matrix<double> read_matrix_market(const std::string& path) {
   std::istringstream dims(line);
   long long rows = -1, cols = -1;
   dims >> rows >> cols;
-  if (rows < 0 || cols < 0)
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  if (rows < 0 || cols < 0 || rows > kMaxDim || cols > kMaxDim)
     throw Error("malformed MatrixMarket size line in " + path);
 
+  // Read every entry before sizing the matrix, so a corrupt size line costs
+  // at most what the file actually holds, never an allocation it names.
+  const std::size_t count = checked_extent(static_cast<index_t>(rows),
+                                           static_cast<index_t>(cols));
+  std::vector<double> entries;
+  double v;
+  while (entries.size() < count && in >> v) entries.push_back(v);
+  if (entries.size() < count)
+    throw Error("truncated MatrixMarket data in " + path);
   Matrix<double> a(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  for (index_t j = 0; j < a.cols(); ++j)
-    for (index_t i = 0; i < a.rows(); ++i) {
-      double v;
-      if (!(in >> v))
-        throw Error("truncated MatrixMarket data in " + path);
-      a(i, j) = v;
-    }
+  std::copy(entries.begin(), entries.end(), a.data());  // column-major
   return a;
 }
 

@@ -90,7 +90,21 @@ class JsonParser {
     }
   }
 
+  /// Nesting bound: the parser recurses once per container level, so an
+  /// unbounded "[[[[..." document would exhaust the stack instead of
+  /// throwing. Every emitter in this repo nests a handful of levels.
+  static constexpr int kMaxDepth = 256;
+
+  struct DepthGuard {
+    JsonParser& p;
+    explicit DepthGuard(JsonParser& parser) : p(parser) {
+      if (++p.depth_ > kMaxDepth) p.cur_.fail("nesting too deep");
+    }
+    ~DepthGuard() { --p.depth_; }
+  };
+
   Json parse_object() {
+    const DepthGuard guard(*this);
     Json v;
     v.kind_ = Json::Kind::kObject;
     cur_.expect('{');
@@ -116,6 +130,7 @@ class JsonParser {
   }
 
   Json parse_array() {
+    const DepthGuard guard(*this);
     Json v;
     v.kind_ = Json::Kind::kArray;
     cur_.expect('[');
@@ -252,6 +267,7 @@ class JsonParser {
   }
 
   Cursor cur_;
+  int depth_ = 0;
 };
 
 Json Json::parse(const std::string& text) {

@@ -97,9 +97,11 @@ Precision parse_precision(const std::string& name);
 struct JobSpec {
   /// Matrix to factor (rows >= cols; padded to the tile grid internally).
   la::Matrix<double> a;
-  /// Tile size; 0 means the service default.
+  /// Tile size; 0 picks core::host_tile(a.cols()).
   int tile_size = 0;
-  dag::Elimination elim = dag::Elimination::kTt;
+  /// Elimination tree. TS is the host default: its kernels run faster than
+  /// TT's at every tile size (docs/PERF.md).
+  dag::Elimination elim = dag::Elimination::kTs;
   /// Max seconds the job may wait in the queue before a lane starts it;
   /// 0 disables the deadline. Expired jobs complete with kExpired and are
   /// never factored.
@@ -148,7 +150,7 @@ struct JobResult {
   std::string error;  // set when status == kFailed / kCorrupted / kInvalid
 
   la::index_t rows = 0, cols = 0;  // original (unpadded) shape
-  int tile_size = 0;
+  int tile_size = 0;  // tile the job ran at; 0 for batched jobs (no tiles)
   Precision precision = Precision::kFp64;  // echoed from the spec
 
   /// Upper-triangular R factor, cols x cols (leading block of the padded

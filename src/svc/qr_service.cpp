@@ -220,7 +220,6 @@ QrService::QrService(const ServiceConfig& config)
       metrics_(registry_),
       exec_counters_(std::make_unique<runtime::ExecCounters>()) {
   TQR_REQUIRE(config.lanes > 0, "service needs at least one lane");
-  TQR_REQUIRE(config.default_tile > 0, "default_tile must be >= 1");
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
   TQR_REQUIRE(config.probation_s >= 0, "probation_s must be >= 0");
@@ -684,7 +683,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                             JobResult& result) {
   const la::Matrix<double>& a = job.spec.a;  // shape checked at submit
   const int b = job.spec.tile_size > 0 ? job.spec.tile_size
-                                       : config_.default_tile;
+                                       : core::host_tile(a.cols());
   result.tile_size = b;
   result.precision = job.spec.precision;
   const bool fp32 = job.spec.precision == Precision::kFp32;
@@ -706,11 +705,14 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // exit (success, injected fault, or a cancellation unwinding through
   // execute()), so a failed attempt's half-written or poisoned factors can
   // never reach a later job or this job's retry.
+  // TS runs geqrt on the diagonal tiles only, so its tg plane is pc x pc.
+  const la::index_t tg_rows =
+      job.spec.elim == dag::Elimination::kTs ? pc : pr;
   struct Planes {
     la::TiledMatrix<double> a, tg, te;
   };
   Planes ws{la::TiledMatrix<double>(pr, pc, b),
-            la::TiledMatrix<double>(pr, pc, b),
+            la::TiledMatrix<double>(tg_rows, pc, b),
             la::TiledMatrix<double>(pr, pc, b)};
   load_padded(ws.a, a.view());
 
@@ -726,7 +728,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   if (fp32) {
     f32 = std::make_unique<FloatPlanes>(
         FloatPlanes{la::TiledMatrix<float>(pr, pc, b),
-                    la::TiledMatrix<float>(pr, pc, b),
+                    la::TiledMatrix<float>(tg_rows, pc, b),
                     la::TiledMatrix<float>(pr, pc, b)});
     for (la::index_t j = 0; j < pc; ++j)
       for (la::index_t i = 0; i < pr; ++i)
@@ -887,12 +889,14 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   if (fp32) {
     // Widen the factored planes back into the fp64 ones (exactly);
     // extraction and verification below read those.
-    for (la::index_t j = 0; j < pc; ++j)
+    for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {
         ws.a.at(i, j) = static_cast<double>(f32->a.at(i, j));
-        ws.tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
         ws.te.at(i, j) = static_cast<double>(f32->te.at(i, j));
       }
+      for (la::index_t i = 0; i < tg_rows; ++i)
+        ws.tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
+    }
   }
   if (trace_)
     obs::append_task_events(*trace_, task_trace.events(), *graph, b,
@@ -1007,8 +1011,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   const la::index_t n = batch.front().cols();
   const la::index_t count = static_cast<la::index_t>(batch.size());
   const bool fp32 = job.spec.precision == Precision::kFp32;
-  result.tile_size = job.spec.tile_size > 0 ? job.spec.tile_size
-                                            : config_.default_tile;
   result.precision = job.spec.precision;
   result.problems = static_cast<int>(count);
   // Members start kCancelled: exactly the problems whose chunk completes

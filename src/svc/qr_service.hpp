@@ -76,8 +76,6 @@ struct ServiceConfig {
   /// per-job thread-group spawn/teardown (cold baseline).
   bool reuse_engines = true;
 
-  /// Tile size for jobs that leave JobSpec::tile_size at 0.
-  int default_tile = 16;
   /// Inner blocking width passed to the tile kernels (0 = unblocked).
   la::index_t inner_block = 0;
 

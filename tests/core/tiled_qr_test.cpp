@@ -264,5 +264,19 @@ TEST(TiledQr, PaddedFactorizationOfOddSize) {
     for (index_t i = 0; i < m; ++i) EXPECT_NEAR(qr(i, j), a(i, j), 1e-10);
 }
 
+TEST(HostTile, PinsTheMeasuredLadder) {
+  // 128 from 1024 columns up; below that the largest of 16/32/64 that is at
+  // most half the columns, and 16 when none is.
+  EXPECT_EQ(host_tile(16), 16);
+  EXPECT_EQ(host_tile(48), 16);
+  EXPECT_EQ(host_tile(64), 32);
+  EXPECT_EQ(host_tile(127), 32);
+  EXPECT_EQ(host_tile(128), 64);
+  EXPECT_EQ(host_tile(256), 64);
+  EXPECT_EQ(host_tile(1023), 64);
+  EXPECT_EQ(host_tile(1024), 128);
+  EXPECT_EQ(host_tile(2048), 128);
+}
+
 }  // namespace
 }  // namespace tqr::core

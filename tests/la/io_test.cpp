@@ -91,6 +91,20 @@ TEST_F(IoTest, RejectsCoordinateFormat) {
   EXPECT_THROW(read_matrix_market(path), Error);
 }
 
+TEST_F(IoTest, HugeMatrixMarketSizeLineThrowsBeforeAllocating) {
+  // The size line names a 16 GB matrix but the file holds one entry: the
+  // reader must run out of entries and throw, not size the matrix first.
+  const std::string path = track(temp_path("huge.mtx"));
+  std::ofstream out(path);
+  out << "%%MatrixMarket matrix array real general\n2000000000 1\n1.5\n";
+  out.close();
+  EXPECT_THROW(read_matrix_market(path), Error);
+  // Past index_t, the size line itself is malformed.
+  std::ofstream(path, std::ios::trunc)
+      << "%%MatrixMarket matrix array real general\n4294967297 1\n1.5\n";
+  EXPECT_THROW(read_matrix_market(path), Error);
+}
+
 TEST_F(IoTest, RejectsGarbageBinary) {
   const std::string path = track(temp_path("garbage.bin"));
   std::ofstream out(path, std::ios::binary);

@@ -46,6 +46,15 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("nulll"), InvalidArgument);
 }
 
+TEST(Json, DeepNestingRejectedNotOverflowed) {
+  const std::string deep(100000, '[');
+  EXPECT_THROW(Json::parse(deep), InvalidArgument);
+  EXPECT_THROW(Json::parse(std::string(300, '[') + std::string(300, ']')),
+               InvalidArgument);
+  const Json ok = Json::parse(std::string(200, '[') + std::string(200, ']'));
+  EXPECT_TRUE(ok.is_array());
+}
+
 TEST(Json, ErrorsCarryLineAndColumn) {
   try {
     Json::parse("{\n  \"a\": ]\n}");

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/tiled_qr.hpp"
 #include "la/checks.hpp"
 #include "la/matrix.hpp"
+#include "la/tiled_matrix.hpp"
 
 namespace tqr::svc {
 namespace {
@@ -182,9 +184,30 @@ TEST(QrService, InvalidConfigRejected) {
   ServiceConfig bad_lanes;
   bad_lanes.lanes = 0;
   EXPECT_THROW(QrService{bad_lanes}, tqr::InvalidArgument);
-  ServiceConfig bad_tile;
-  bad_tile.default_tile = 0;
-  EXPECT_THROW(QrService{bad_tile}, tqr::InvalidArgument);
+}
+
+TEST(QrService, DefaultJobRunsTsAtHostTileBitwiseLikeSequential) {
+  // A default JobSpec picks core::host_tile(cols) and TS elimination; its R
+  // must equal, bit for bit, a sequential TS factorization of the padded
+  // input at that tile (300x200 pads to 320x256 at b = 64).
+  QrService service;
+  JobSpec spec = spec_for(300, 200, 80, false);
+  const la::Matrix<double> a = spec.a;
+  const auto result = service.submit(std::move(spec)).get();
+  ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+  const int b = core::host_tile(200);
+  EXPECT_EQ(result.tile_size, b);
+
+  core::TiledQrFactorization<double>::Options opts;
+  opts.elim = dag::Elimination::kTs;
+  opts.workers = 1;
+  const auto f = core::TiledQrFactorization<double>::factor(
+      la::pad_to_tiles<double>(a.view(), b), b, opts);
+  const la::Matrix<double> r = f.r();
+  ASSERT_EQ(result.r.rows(), 200);
+  for (la::index_t j = 0; j < 200; ++j)
+    for (la::index_t i = 0; i <= j; ++i)
+      ASSERT_EQ(result.r(i, j), r(i, j)) << "R differs at " << i << "," << j;
 }
 
 TEST(QrService, TsEliminationJobsWork) {

@@ -87,7 +87,7 @@ TEST(ServiceBatch, FactorsEveryMemberAndMatchesScalarR) {
 
 TEST(ServiceBatch, BatchesNeverTouchThePlanCache) {
   // The interleaved engine runs no task graph, so a batch neither builds
-  // nor looks one up.
+  // nor looks one up, and reports no tile size.
   QrService service{ServiceConfig{}};
   for (int round = 0; round < 2; ++round) {
     JobSpec spec;
@@ -95,6 +95,7 @@ TEST(ServiceBatch, BatchesNeverTouchThePlanCache) {
     const auto r = service.submit(std::move(spec)).get();
     ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
     EXPECT_FALSE(r.plan_cache_hit);
+    EXPECT_EQ(r.tile_size, 0);
   }
   const auto cache = service.stats().plan_cache;
   EXPECT_EQ(cache.hits + cache.misses, 0u);

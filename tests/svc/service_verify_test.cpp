@@ -151,6 +151,31 @@ TEST(ServiceVerify, FullTierEnforcesReconstructionResidual) {
   EXPECT_EQ(r.r.rows(), 0);
 }
 
+TEST(ServiceVerify, DefaultTsJobPassesProbeAndFullInBothPrecisions) {
+  // A default job runs TS at core::host_tile: 300x200 pads to 320x256 at
+  // b = 64, and its tg plane holds only the 4x4 diagonal-panel tiles. The
+  // probe and full tiers replay Q through that plane; fp32 jobs also widen
+  // it back into fp64 first.
+  QrService service;
+  for (const Precision precision : {Precision::kFp64, Precision::kFp32}) {
+    const double tol = precision == Precision::kFp32
+                           ? la::verify_tolerance<float>(320)
+                           : la::verify_tolerance<double>(320);
+    for (const Verify verify : {Verify::kProbe, Verify::kFull}) {
+      JobSpec spec = spec_for(300, 200, 41);
+      spec.precision = precision;
+      spec.verify = verify;
+      const auto r = service.submit(std::move(spec)).get();
+      ASSERT_EQ(r.status, JobStatus::kOk)
+          << to_string(precision) << "/" << to_string(verify) << ": "
+          << r.error;
+      EXPECT_EQ(r.tile_size, 64);
+      EXPECT_GE(r.verify_residual, 0.0);
+      EXPECT_LE(r.verify_residual, tol);
+    }
+  }
+}
+
 TEST(ServiceQuarantine, BadLaneIsolatedWhileSurvivorsFinishTheWork) {
   // The acceptance scenario: lane 0 corrupts every job it touches; with
   // quarantine_after=1 its first bad job takes it out of rotation and the

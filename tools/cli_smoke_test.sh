@@ -26,9 +26,12 @@ echo "$out" | grep -Eq 'A - Q R.*e-1[4-9]' \
 echo "$out" | grep -Eq '^wall [0-9.]+ s = [0-9.]+ GFLOP/s$' \
   || fail "factor speed: $out"
 
-# solve: QR and Cholesky methods.
-"$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1 \
-  | grep -Eq 'A\^T \(b - A x\).*e-(0[7-9]|1[0-9])' || fail "qr solve residual"
+# solve: QR and Cholesky methods, with wall time and speed.
+out=$("$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1)
+echo "$out" | grep -Eq 'A\^T \(b - A x\).*e-(0[7-9]|1[0-9])' \
+  || fail "qr solve residual: $out"
+echo "$out" | grep -Eq '^wall [0-9.]+ s = [0-9.]+ GFLOP/s$' \
+  || fail "solve speed: $out"
 # solve with chol must reject a non-SPD input cleanly (exit code 2).
 set +e
 "$TQR" solve --in A.mtx --rhs b.bin --method chol > /dev/null 2>&1

@@ -1,10 +1,12 @@
 // tqr — command-line front end to the tiledqr library.
 //
 //   tqr gen      --out A.mtx --rows 512 --cols 512 [--class uniform] [--seed 1]
-//   tqr factor   --in A.mtx [--tile 16] [--elim tt] [--q Q.bin] [--r R.mtx]
-//                (factors on every core; prints wall time and GFLOP/s)
+//   tqr factor   --in A.mtx [--tile 0] [--elim ts] [--q Q.bin] [--r R.mtx]
+//                (factors on every core; prints wall time and GFLOP/s;
+//                tile 0 = core::host_tile)
 //   tqr solve    --in A.mtx --rhs b.mtx --out x.mtx [--tile 16] [--refine 1]
-//                (or --batch N --rows 16 --cols 16 for the batched engine)
+//                (prints wall time and GFLOP/s; or --batch N --rows 16
+//                --cols 16 for the batched engine)
 //   tqr simulate --size 3200 [--tile 16] [--gpus 3] [--nodes 1] [--fixed-p N]
 //   tqr plan     --size 3200 [--tile 16] [--gpus 3]
 //   tqr serve    --jobs 256x256:16,512x256:4 [--lanes 2] [--json]
@@ -66,13 +68,14 @@ la::index_t checked_dim(const Cli& cli, const std::string& name,
   return static_cast<la::index_t>(v);
 }
 
-/// Inner block size from --ib: non-negative (0 = library default), bounded
-/// by index_t like the dimensions. Shared by factor/solve/serve so every
-/// subcommand rejects "--ib -3" or "--ib 1e12" with the same usage error.
-la::index_t checked_ib(const Cli& cli, std::int64_t fallback = 0) {
-  const std::int64_t v = cli.get_int("ib", fallback);
+/// A size flag where 0 means "the library picks" (--ib, and --tile outside
+/// `tqr solve`): non-negative, bounded by index_t like the dimensions, so
+/// every subcommand rejects "--ib -3" or "--tile 1e12" with the same usage
+/// error.
+la::index_t checked_size(const Cli& cli, const std::string& name) {
+  const std::int64_t v = cli.get_int(name, 0);
   if (v < 0 || v > std::numeric_limits<la::index_t>::max())
-    throw InvalidArgument("--ib must be in [0, " +
+    throw InvalidArgument("--" + name + " must be in [0, " +
                           std::to_string(std::numeric_limits<la::index_t>::max()) +
                           "] (got " + std::to_string(v) + ")");
   return static_cast<la::index_t>(v);
@@ -168,24 +171,26 @@ int cmd_gen(int argc, char** argv) {
 int cmd_factor(int argc, char** argv) {
   Cli cli;
   cli.flag("in", "input matrix (required)");
-  cli.flag("tile", "tile size", "16");
+  cli.flag("tile", "tile size (0 = core::host_tile of the column count)",
+           "0");
   cli.flag("ib", "inner blocking (0 = off)", "0");
-  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
+  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("q", "write the explicit m x m Q here");
   cli.flag("r", "write R here");
   if (!cli.parse(argc, argv)) return 0;
   const std::string in = cli.get_string("in", "");
   if (in.empty()) throw InvalidArgument("factor: --in is required");
-  const int b = static_cast<int>(checked_dim(cli, "tile", 16));
+  const la::index_t tile = checked_size(cli, "tile");
 
   la::Matrix<double> a = la::read_matrix(in);
+  const int b = tile > 0 ? tile : core::host_tile(a.cols());
   la::Matrix<double> padded = la::pad_to_tiles<double>(a.view(), b);
   const bool was_padded =
       padded.rows() != a.rows() || padded.cols() != a.cols();
 
   typename core::TiledQrFactorization<double>::Options opts;
-  opts.elim = parse_elim(cli.get_string("elim", "tt"));
-  opts.inner_block = checked_ib(cli);
+  opts.elim = parse_elim(cli.get_string("elim", "ts"));
+  opts.inner_block = checked_size(cli, "ib");
   opts.workers =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   Timer wall;
@@ -308,10 +313,11 @@ int cmd_solve(int argc, char** argv) {
 
   const std::string method = cli.get_string("method", "qr");
   const int refine = static_cast<int>(cli.get_int("refine", 0));
-  const la::index_t ib = checked_ib(cli);
+  const la::index_t ib = checked_size(cli, "ib");
   const svc::Precision precision =
       svc::parse_precision(cli.get_string("precision", "fp64"));
   la::Matrix<double> x;
+  Timer wall;
   if (method == "chol") {
     if (precision != svc::Precision::kFp64)
       throw InvalidArgument("--precision fp32 requires --method qr");
@@ -320,7 +326,7 @@ int cmd_solve(int argc, char** argv) {
   } else if (method == "qr") {
     if (precision == svc::Precision::kFp32) {
       const auto mixed = core::qr_solve_mixed(
-          a, rhs, b, dag::Elimination::kTt,
+          a, rhs, b, dag::Elimination::kTs,
           refine > 0 ? refine : 8, /*tolerance=*/0.0, ib);
       std::printf(
           "mixed fp32 factor + fp64 refinement: %d rounds, %s "
@@ -337,6 +343,10 @@ int cmd_solve(int argc, char** argv) {
   } else {
     throw InvalidArgument("unknown --method '" + method + "'");
   }
+  const double secs = wall.seconds();
+  const double n = a.cols();
+  const double flops =
+      method == "chol" ? n * n * n / 3.0 : la::flops_qr(a.rows(), a.cols());
 
   // Report the least-squares optimality residual.
   la::Matrix<double> resid = rhs;
@@ -347,6 +357,7 @@ int cmd_solve(int argc, char** argv) {
                    resid.view(), 0.0, atr.view());
   std::printf("solved %d x %d system, %d rhs, %d refinement steps\n",
               a.rows(), a.cols(), rhs.cols(), refine);
+  std::printf("wall %.4f s = %.2f GFLOP/s\n", secs, flops / secs * 1e-9);
   std::printf("||A^T (b - A x)||_max = %.3e\n",
               la::norm_max<double>(atr.view()));
   const std::string out = cli.get_string("out", "");
@@ -490,10 +501,10 @@ int cmd_serve(int argc, char** argv) {
   Cli cli;
   cli.flag("jobs", "trace: ROWSxCOLS:COUNT[,...]", "256x256:16,512x256:4");
   cli.flag("lanes", "concurrent execution lanes", "2");
-  cli.flag("tile", "tile size", "16");
+  cli.flag("tile", "tile size (0 = core::host_tile per job)", "0");
   cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
-  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
+  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("queue", "job queue capacity", "64");
   cli.flag("admission", "block|reject", "block");
   cli.flag("queue-deadline-ms", "expire jobs queued longer than this (0=off)",
@@ -552,8 +563,7 @@ int cmd_serve(int argc, char** argv) {
 
   svc::ServiceConfig config;
   config.lanes = static_cast<int>(cli.get_int("lanes", 2));
-  config.default_tile = static_cast<int>(checked_dim(cli, "tile", 16));
-  config.inner_block = checked_ib(cli);
+  config.inner_block = checked_size(cli, "ib");
   config.quarantine_after =
       static_cast<int>(cli.get_int("quarantine-after", 0));
   config.probation_s = cli.get_double("probation-ms", 0) * 1e-3;
@@ -591,7 +601,8 @@ int cmd_serve(int argc, char** argv) {
   const double exec_deadline_s = cli.get_double("exec-deadline-ms", 0) * 1e-3;
   const int retries = static_cast<int>(cli.get_int("retries", 1));
   const double retry_backoff_s = cli.get_double("retry-backoff-ms", 0) * 1e-3;
-  const dag::Elimination elim = parse_elim(cli.get_string("elim", "tt"));
+  const dag::Elimination elim = parse_elim(cli.get_string("elim", "ts"));
+  const int tile = static_cast<int>(checked_size(cli, "tile"));
   const svc::Precision precision =
       svc::parse_precision(cli.get_string("precision", "fp64"));
 
@@ -614,6 +625,7 @@ int cmd_serve(int argc, char** argv) {
       } else {
         spec.a = la::Matrix<double>::random(s.rows, s.cols, job_seed++);
       }
+      spec.tile_size = tile;
       spec.elim = elim;
       spec.compute_residual = residual;
       spec.verify = verify;
@@ -758,8 +770,8 @@ int cmd_cluster(int argc, char** argv) {
   cli.flag("inter-lat", "inter-node latency, us", "25");
   cli.flag("policy", "router policy: rr|load|cost", "cost");
   cli.flag("lanes", "execution lanes per node", "2");
-  cli.flag("tile", "tile size", "16");
-  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
+  cli.flag("tile", "tile size (0 = core::host_tile per job)", "0");
+  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("seed", "rng seed", "1");
   cli.flag("json", "emit stats as JSON instead of tables");
   cli.flag("trace-out",
@@ -787,7 +799,8 @@ int cmd_cluster(int argc, char** argv) {
   const bool json = cli.get_bool("json", false);
   const std::string trace_out = cli.get_string("trace-out", "");
   const std::string metrics_out = cli.get_string("metrics-out", "");
-  const dag::Elimination elim = parse_elim(cli.get_string("elim", "tt"));
+  const dag::Elimination elim = parse_elim(cli.get_string("elim", "ts"));
+  const int tile = static_cast<int>(checked_size(cli, "tile"));
 
   cluster::ClusterConfig cfg;
   cfg.nodes = checked_nodes(cli, 2);
@@ -797,7 +810,6 @@ int cmd_cluster(int argc, char** argv) {
     throw InvalidArgument("--inter-lat must be >= 0");
   cfg.policy = cluster::parse_router_policy(cli.get_string("policy", "cost"));
   cfg.node.lanes = static_cast<int>(checked_dim(cli, "lanes", 2));
-  cfg.node.default_tile = static_cast<int>(checked_dim(cli, "tile", 16));
   cfg.node.collect_trace = !trace_out.empty();
   cfg.max_node_attempts = static_cast<int>(cli.get_int("failover", 1));
   cfg.failover_backoff_s = cli.get_double("failover-backoff", 0);
@@ -830,6 +842,7 @@ int cmd_cluster(int argc, char** argv) {
       any = true;
       svc::JobSpec spec;
       spec.a = la::Matrix<double>::random(s.rows, s.cols, job_seed++);
+      spec.tile_size = tile;
       spec.elim = elim;
       subs.push_back(c.submit(std::move(spec)));
     }
