@@ -7,9 +7,10 @@
 //     kernel across a tile-size sweep, then emits per-kernel GFLOP/s as JSON.
 //     This is the perf-baseline trajectory: scripts/run_all_benches.sh
 //     refreshes BENCH_kernels.json from it, and PRs regress against the
-//     committed numbers (see docs/PERF.md). The same mode also times one
-//     whole 1024x1024 factorization at the host defaults (TS elimination,
-//     core::host_tile) on 1, 2 and 4 workers: the e2e.factor.* lines.
+//     committed numbers (see docs/PERF.md). The same mode also times whole
+//     factorizations at the host defaults (TS elimination, core::host_tile):
+//     1024x1024 on 1, 2 and 4 workers and 2048x2048 on 4 (e2e.factor.*),
+//     and one 2048x2048 job through a default QrService (e2e.serve.*).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include "la/pivoted_qr.hpp"
 #include "la/reference_qr.hpp"
 #include "sim/des.hpp"
+#include "svc/qr_service.hpp"
 
 namespace {
 
@@ -354,12 +356,13 @@ void bench_tile_kernels(int b, double min_s, int ib,
 /// GFLOP/s of one n x n TiledQrFactorization<double>::factor call at the
 /// host defaults (TS, core::host_tile(n)), per worker count. Each call
 /// builds its graph and spawns its executor, as `tqr factor` does.
-std::vector<std::pair<int, double>> bench_e2e_factor(la::index_t n,
-                                                     double min_s, int ib) {
+std::vector<std::pair<int, double>> bench_e2e_factor(
+    la::index_t n, const std::vector<int>& worker_counts, double min_s,
+    int ib) {
   const auto a = Matrix<double>::random(n, n, 43);
   const int b = core::host_tile(n);
   std::vector<std::pair<int, double>> out;
-  for (const int workers : {1, 2, 4}) {
+  for (const int workers : worker_counts) {
     core::TiledQrFactorization<double>::Options opts;
     opts.inner_block = ib;
     opts.workers = workers;
@@ -374,6 +377,27 @@ std::vector<std::pair<int, double>> bench_e2e_factor(la::index_t n,
   return out;
 }
 
+/// GFLOP/s of one warm n x n job through a QrService at its defaults,
+/// submit to resolved future, best of 3 after one warm-up job: the service
+/// rung of the ladder, to set against bench_e2e_factor's native rate.
+double bench_e2e_serve(la::index_t n) {
+  svc::QrService service;
+  svc::JobSpec spec;
+  spec.a = Matrix<double>::random(n, n, 44);
+  double best = 0;
+  for (int rep = 0; rep < 4; ++rep) {
+    Timer t;
+    const svc::JobResult r = service.submit(spec).get();
+    const double s = t.seconds();
+    if (r.status != svc::JobStatus::kOk) {
+      std::fprintf(stderr, "e2e serve job failed: %s\n", r.error.c_str());
+      std::exit(1);
+    }
+    if (rep > 0) best = std::max(best, la::flops_qr(n, n) / s * 1e-9);
+  }
+  return best;
+}
+
 int run_json_mode(bool quick, const std::string& out_path, int ib) {
   const double min_s = quick ? 0.02 : 0.15;
   const std::vector<int> tiles =
@@ -381,8 +405,9 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
   std::vector<JsonResult> results;
   for (int b : tiles) bench_gemm_pair(b, min_s, results);
   for (int b : tiles) bench_tile_kernels(b, min_s, ib, results);
-  constexpr la::index_t kE2eN = 1024;
-  const auto e2e = bench_e2e_factor(kE2eN, min_s, ib);
+  const auto e2e1024 = bench_e2e_factor(1024, {1, 2, 4}, min_s, ib);
+  const auto e2e2048 = bench_e2e_factor(2048, {4}, min_s, ib);
+  const double serve2048 = bench_e2e_serve(2048);
 
   double naive256 = 0, packed256 = 0;
   for (const auto& r : results) {
@@ -404,16 +429,22 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
                 "  \"gemm_speedup_at_%d\": %.3f,\n", tiles.back(),
                 naive256 > 0 ? packed256 / naive256 : 0.0);
   json += buf;
-  // bench_diff keys these e2e.factor.n1024.w<workers>.gflops.
-  std::snprintf(buf, sizeof buf, "  \"e2e\": {\"factor\": {\"n%d\": {",
-                kE2eN);
+  // bench_diff keys these e2e.factor.n<n>.w<workers>.gflops and
+  // e2e.serve.n2048.gflops.
+  auto workers_json = [&buf](const std::vector<std::pair<int, double>>& r) {
+    std::string out;
+    for (const auto& [workers, gflops] : r) {
+      std::snprintf(buf, sizeof buf, "%s\"w%d\": {\"gflops\": %.3f}",
+                    out.empty() ? "" : ", ", workers, gflops);
+      out += buf;
+    }
+    return out;
+  };
+  json += "  \"e2e\": {\"factor\": {\"n1024\": {" + workers_json(e2e1024) +
+          "}, \"n2048\": {" + workers_json(e2e2048) + "}}, ";
+  std::snprintf(buf, sizeof buf,
+                "\"serve\": {\"n2048\": {\"gflops\": %.3f}}},\n", serve2048);
   json += buf;
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s\"w%d\": {\"gflops\": %.3f}",
-                  i ? ", " : "", e2e[i].first, e2e[i].second);
-    json += buf;
-  }
-  json += "}}},\n";
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

@@ -9,7 +9,9 @@
 //   pid 1 + lane    — one "process" per execution lane
 //     tid 0         —   job lifecycle spans (picked -> done) + retry/verify/
 //                       quarantine instants
-//     tid 1 + w     —   per-task kernel events run by the lane's worker w
+//     tid 1 + w     —   per-task kernel events of the lane's jobs run by
+//                       worker w; the lanes share the service's workers, so
+//                       w is global to the service
 //
 // append_task_events() bridges a runtime::Trace snapshot (per-task records
 // from the executor) into the log, annotating each span with the kernel

@@ -14,9 +14,11 @@
 // A DagExecutor instance is a *resident engine*: its workers are spawned
 // once at construction and reused by every execute() call, so a service
 // that factors many matrices pays the thread start/stop cost once instead
-// of per run (the amortization tqr::svc is built on). The static run()
-// keeps the one-shot convenience: it spins up a transient engine for a
-// single graph.
+// of per run (the amortization tqr::svc is built on). Several execute()
+// calls may be in flight at once; they share the one group of workers,
+// which take ready tasks from the active runs oldest-first, so a run that
+// is alone gets every worker. The static run() keeps the one-shot
+// convenience: it spins up a transient engine for a single graph.
 #pragma once
 
 #include <atomic>
@@ -35,8 +37,8 @@
 namespace tqr::runtime {
 
 /// Scheduler-contention telemetry, aggregated across every run of every
-/// engine pointed at one instance (the service shares one across its lanes).
-/// All relaxed atomics — increments ride the dispatch hot path.
+/// engine pointed at one instance (concurrent runs on one engine all count
+/// into it). All relaxed atomics — increments ride the dispatch hot path.
 struct ExecCounters {
   /// Tasks a worker took from a sibling's deque instead of its own.
   std::atomic<std::uint64_t> steals{0};
@@ -80,7 +82,9 @@ class DagExecutor {
   /// Executes one graph to completion on the resident workers and returns
   /// wall-clock seconds. Rethrows the first kernel exception (after the
   /// workers have quiesced); the engine stays usable for the next execute()
-  /// afterwards. Thread-safe: concurrent calls are serialized.
+  /// afterwards. Thread-safe: concurrent calls run at the same time on the
+  /// shared workers, which serve the older run first. A failure or cancel
+  /// drains and rethrows in its own run only; the other runs go on.
   ///
   /// `cancel` (optional) makes the run abortable: the token is checked at
   /// every task-dispatch boundary, and a latched token aborts the run — the

@@ -156,12 +156,22 @@ QrService::Metrics::Metrics(obs::Registry& r)
       exec_s(r.histogram("job.exec_s",
                          obs::exponential_bounds(1e-5, 120.0))) {}
 
-/// Per-lane resident executor. With reuse_engines the engine (and its
-/// workers) lives as long as the lane; otherwise one is built per job,
-/// reproducing the seed's per-run cost for baseline comparisons.
-struct QrService::LaneEngine {
+/// The service's one worker group. With reuse_engines a single resident
+/// engine of hardware_concurrency workers lives as long as the service and
+/// every lane executes on it, so concurrent jobs share the cores and a job
+/// that runs alone gets all of them. Without it each job builds a transient
+/// all-core engine, reproducing the seed's per-run cost for baseline
+/// comparisons.
+struct QrService::Engine {
   runtime::DagExecutor::Options options;
   std::unique_ptr<runtime::DagExecutor> resident;
+
+  Engine(runtime::ExecCounters* counters, bool reuse) {
+    options.workers =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    options.counters = counters;
+    if (reuse) resident = std::make_unique<runtime::DagExecutor>(options);
+  }
 
   double execute(const dag::TaskGraph& graph,
                  const runtime::DagExecutor::Kernel& kernel,
@@ -173,17 +183,6 @@ struct QrService::LaneEngine {
     return fresh.execute(graph, kernel, trace, cancel, post_task);
   }
 };
-
-namespace {
-
-/// Workers per lane engine: the cores split evenly across the lanes, so
-/// lanes x workers never exceeds the machine.
-int workers_per_lane(int lanes) {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) /
-                         lanes);
-}
-
-}  // namespace
 
 /// Per-job cancellation handle. The token is what the executor and the
 /// kernel wrapper poll; `reason` records WHY it latched (first writer wins)
@@ -218,7 +217,9 @@ QrService::QrService(const ServiceConfig& config)
       queue_(config.queue_capacity, config.admission),
       plan_cache_(config.plan_cache_capacity),
       metrics_(registry_),
-      exec_counters_(std::make_unique<runtime::ExecCounters>()) {
+      exec_counters_(std::make_unique<runtime::ExecCounters>()),
+      engine_(std::make_unique<Engine>(exec_counters_.get(),
+                                       config.reuse_engines)) {
   TQR_REQUIRE(config.lanes > 0, "service needs at least one lane");
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
@@ -233,7 +234,8 @@ QrService::QrService(const ServiceConfig& config)
     trace_ = std::make_unique<obs::TraceLog>(config.trace_capacity);
     // Name the viewer tracks up front: pid trace_pid_base is the shared
     // queue, one "process" per lane with a lifecycle row plus one row per
-    // worker. trace_label qualifies the names when several services
+    // service worker (the lanes share the workers, so every lane lists all
+    // of them). trace_label qualifies the names when several services
     // (cluster nodes) merge into one document.
     trace_->process_name(queue_pid(), config.trace_label + "svc queue");
     trace_->thread_name(queue_pid(), 0, "queued jobs");
@@ -242,7 +244,7 @@ QrService::QrService(const ServiceConfig& config)
       trace_->process_name(pid,
                            config.trace_label + "lane " + std::to_string(lane));
       trace_->thread_name(pid, 0, "jobs");
-      for (int w = 0; w < workers_per_lane(config.lanes); ++w)
+      for (int w = 0; w < engine_->options.workers; ++w)
         trace_->thread_name(pid, 1 + w, "worker " + std::to_string(w));
     }
   }
@@ -397,13 +399,6 @@ void QrService::drain() {
 }
 
 void QrService::lane_main(int lane) {
-  LaneEngine engine;
-  engine.options.workers = workers_per_lane(config_.lanes);
-  engine.options.counters = exec_counters_.get();
-  if (config_.reuse_engines)
-    engine.resident =
-        std::make_unique<runtime::DagExecutor>(engine.options);
-
   for (;;) {
     // Circuit-breaker gate: a quarantined lane stops popping, so the shared
     // queue redistributes its jobs to healthy lanes. Returns false only at
@@ -419,7 +414,7 @@ void QrService::lane_main(int lane) {
     }
     control->picked.store(true, std::memory_order_relaxed);
     std::promise<JobResult> promise = std::move(job->promise);
-    JobResult result = process(engine, lane, std::move(*job), *control);
+    JobResult result = process(lane, std::move(*job), *control);
     const JobStatus status = result.status;
     const double total_s = result.total_s;
     // Status counters and latency update BEFORE the promise resolves, so a
@@ -504,8 +499,7 @@ void QrService::update_lane_health_locked(int lane, JobStatus status) {
                     clock_.seconds());
 }
 
-JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
-                             JobControl& control) {
+JobResult QrService::process(int lane, PendingJob job, JobControl& control) {
   JobResult result;
   result.id = job.id;
   result.tag = job.spec.tag;
@@ -608,7 +602,7 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     result.attempts = attempt;
     try {
-      run_attempt(engine, job, picked_up_s, control, result);
+      run_attempt(job, picked_up_s, control, result);
       result.status = JobStatus::kOk;
       result.error.clear();  // drop any earlier attempt's transient error
       break;
@@ -678,9 +672,8 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
   return result;
 }
 
-void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
-                            double picked_up_s, JobControl& control,
-                            JobResult& result) {
+void QrService::run_attempt(const PendingJob& job, double picked_up_s,
+                            JobControl& control, JobResult& result) {
   const la::Matrix<double>& a = job.spec.a;  // shape checked at submit
   const int b = job.spec.tile_size > 0 ? job.spec.tile_size
                                        : core::host_tile(a.cols());
@@ -757,11 +750,12 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     a_fro = std::sqrt(fro2);
   }
 
-  // Execute the factorization graph on the lane engine. The kernel wrapper
-  // is the service's task-boundary hook: it enforces the exec deadline
-  // (measured from lane pickup), short-circuits once the token latched (the
-  // executor then aborts without releasing successors), and runs fault
-  // injection ahead of the real tile kernel.
+  // Execute the factorization graph on the service engine, alongside
+  // whatever the other lanes run there. The kernel wrapper is the service's
+  // task-boundary hook: it enforces the exec deadline (measured from lane
+  // pickup), short-circuits once the token latched (the executor then aborts
+  // this run without releasing successors), and runs fault injection ahead
+  // of the real tile kernel.
   const la::index_t ib = config_.inner_block;
   const double deadline_s = job.spec.exec_deadline_s;
   const int lane = result.lane;
@@ -807,7 +801,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   runtime::Trace task_trace;
   const double exec_start_s = clock_.seconds();
   Timer exec_clock;
-  engine.execute(
+  engine_->execute(
       *graph,
       [this, &ws, &f32, ib, &control, picked_up_s, deadline_s, lane,
        corrupting](dag::task_id t, const dag::Task& task, int) {

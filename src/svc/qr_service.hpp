@@ -9,18 +9,22 @@
 //   submit() ──> JobQueue (bounded; admission control = backpressure)
 //                   │ pop
 //                   ▼
-//   lane 0..L-1: persistent worker, each owning a resident
-//                runtime::DagExecutor whose work-stealing workers outlive
-//                every job the lane runs (cores / lanes workers per lane)
+//   lane 0..L-1: persistent threads, each running one job at a time
 //                   │
 //                   ├─ PlanCache: (shape, tile, elim, ib) -> dag::TaskGraph;
 //                   │    repeat shapes skip graph construction (LRU,
 //                   │    hit/miss counters)
-//                   └─ execute on the lane engine against tile planes the
-//                        attempt allocates and frees itself
+//                   └─ execute against tile planes the attempt allocates
+//                        and frees itself
+//                             │
+//                             ▼
+//   one resident runtime::DagExecutor: hardware_concurrency work-stealing
+//   workers shared by every lane, serving the jobs in flight oldest-first
 //
-// Jobs on different lanes run concurrently; each lane's engine serves one
-// job at a time. Results come back through std::future<JobResult>; admission
+// Lanes set how many jobs run at once; the cores are not split between
+// them. A job that runs alone gets every worker, and concurrent jobs share
+// the workers (a worker index in kernels and traces is global to the
+// service). Results come back through std::future<JobResult>; admission
 // rejections and queue-deadline expirations are reported as statuses, not
 // exceptions, so a load generator can count them cheaply.
 //
@@ -60,8 +64,9 @@ struct ExecCounters;  // runtime/dag_executor.hpp (kept out of this header)
 namespace tqr::svc {
 
 struct ServiceConfig {
-  /// Concurrent execution lanes; each owns a resident DagExecutor with
-  /// max(1, hardware_concurrency / lanes) work-stealing workers.
+  /// Jobs in flight at once. Every lane executes on the service's one
+  /// resident DagExecutor, whose hardware_concurrency work-stealing workers
+  /// serve the running jobs oldest-first.
   int lanes = 2;
 
   std::size_t queue_capacity = 64;
@@ -72,8 +77,9 @@ struct ServiceConfig {
   /// baseline).
   bool plan_cache_enabled = true;
 
-  /// Reuse each lane's DagExecutor across jobs. Disable to pay the seed's
-  /// per-job thread-group spawn/teardown (cold baseline).
+  /// Keep the service's DagExecutor resident across jobs. Disable to pay
+  /// the seed's per-job thread-group spawn/teardown: each job then builds a
+  /// transient all-core engine (cold baseline).
   bool reuse_engines = true;
 
   /// Inner blocking width passed to the tile kernels (0 = unblocked).
@@ -186,7 +192,7 @@ class QrService {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  struct LaneEngine;  // hides runtime::DagExecutor from this header
+  struct Engine;      // hides runtime::DagExecutor from this header
   struct JobControl;  // per-job cancellation state (token + reason)
 
   /// Per-lane circuit-breaker state; guarded by mutex_.
@@ -212,10 +218,9 @@ class QrService {
   std::future<JobResult> resolve_at_door(const JobSpec& spec,
                                          JobStatus status, std::string error,
                                          std::uint64_t* id_out);
-  JobResult process(LaneEngine& engine, int lane, PendingJob job,
-                    JobControl& control);
-  void run_attempt(LaneEngine& engine, const PendingJob& job,
-                   double picked_up_s, JobControl& control, JobResult& result);
+  JobResult process(int lane, PendingJob job, JobControl& control);
+  void run_attempt(const PendingJob& job, double picked_up_s,
+                   JobControl& control, JobResult& result);
   /// Batched jobs (JobSpec::batch): factors the whole batch through the
   /// chunk-interleaved engine — one set of batch planes, cancellation at
   /// chunk boundaries, verify/quarantine per member.
@@ -257,8 +262,11 @@ class QrService {
   };
   Metrics metrics_;
   std::unique_ptr<obs::TraceLog> trace_;  // null unless collect_trace
-  /// Shared steal/park/drain telemetry sink; every lane engine points at it.
+  /// Steal/park/drain telemetry sink of the service engine.
   std::unique_ptr<runtime::ExecCounters> exec_counters_;
+  /// The worker group every lane executes on; after exec_counters_, which
+  /// it points at.
+  std::unique_ptr<Engine> engine_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_drained_;

@@ -52,8 +52,8 @@ struct ServiceStats {
   double p95_ms = 0;
   double mean_ms = 0;
 
-  /// Scheduler contention telemetry from the work-stealing executors,
-  /// aggregated across every lane engine (see runtime::ExecCounters).
+  /// Scheduler contention telemetry from the service's work-stealing
+  /// engine, aggregated across every job (see runtime::ExecCounters).
   std::uint64_t exec_steals = 0;       // tasks taken from a sibling's deque
   std::uint64_t exec_parks = 0;        // spin budgets exhausted -> futex park
   std::uint64_t exec_local_pushes = 0; // ready tasks kept on the owner deque

@@ -192,27 +192,36 @@ TEST(DagExecutorEngine, SurvivesKernelExceptionAndRunsAgain) {
   EXPECT_EQ(engine.runs_completed(), 1u);  // failed run does not count
 }
 
-TEST(DagExecutorEngine, ConcurrentExecuteCallsSerialize) {
+TEST(DagExecutorEngine, ConcurrentExecuteCallsShareTheWorkers) {
+  // Two callers' runs are live on one engine at the same time: each chain's
+  // first task waits until the other run has started one too, which can
+  // only happen when the engine serves both runs at once. (A bounded wait,
+  // so an engine that ran them one after the other fails instead of
+  // hanging.)
   DagExecutor::Options opts;
   opts.workers = 2;
   DagExecutor engine(opts);
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
+  std::atomic<int> started{0};
+  std::atomic<int> saw_other{0};
   auto body = [&] {
     dag::TaskGraph g = chain(8);
-    engine.execute(
-        g, [&](task_id, const Task&, int) {
-          if (inside.fetch_add(1) > 0) overlapped.store(true);
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-          inside.fetch_sub(1);
-        });
+    std::atomic<int> ran{0};
+    engine.execute(g, [&](task_id t, const Task&, int) {
+      ran.fetch_add(1);
+      if (t != 0) return;
+      started.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      if (started.load() == 2) saw_other.fetch_add(1);
+    });
+    EXPECT_EQ(ran.load(), 8);
   };
   std::thread a(body), b(body);
   a.join();
   b.join();
-  // chain() serializes its own tasks, so any overlap means two runs were
-  // live on the engine at once.
-  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(saw_other.load(), 2) << "the two runs never overlapped";
   EXPECT_EQ(engine.runs_completed(), 2u);
 }
 
@@ -435,6 +444,89 @@ TEST(DagExecutorStress, CancelMidwayAccountsEveryTask) {
           << "workers " << workers << " rep " << rep;
     }
   }
+}
+
+TEST(DagExecutorStress, ConcurrentRunsOnOneEngine) {
+  // Three callers share one 4-worker engine, 100 runs each. Every task of
+  // every clean run executes exactly once and after its predecessors. Mid
+  // stream, one run is cancelled and one has a throwing kernel: each of
+  // those drains and rethrows alone (kernel calls + drop instants cover its
+  // graph) while the runs beside it finish complete.
+  constexpr int kCallers = 3, kRuns = 100, kOddRun = kRuns / 2;
+  DagExecutor::Options opts;
+  opts.workers = 4;
+  DagExecutor engine(opts);
+  std::atomic<int> clean_runs{0};
+  auto caller = [&](int id) {
+    std::mt19937 rng(100 + static_cast<unsigned>(id));
+    for (int rep = 0; rep < kRuns; ++rep) {
+      const bool cancels = id == 0 && rep == kOddRun;
+      const bool throws = id == 1 && rep == kOddRun;
+      if (cancels || throws) {
+        // Independent tasks, all seeded up front, so each is either a
+        // kernel call or a drop instant.
+        const int n = 32 + rep % 32;
+        Builder b(8, 8);
+        for (int i = 0; i < n; ++i) {
+          Task t;
+          t.op = dag::Op::kGeqrt;
+          t.k = static_cast<std::int16_t>(i);
+          b.add_task(t, {{b.upper(i / 8, i % 8), Mode::kWrite}});
+        }
+        const dag::TaskGraph g = std::move(b).build();
+        const int odd_at = std::uniform_int_distribution<int>(1, n - 1)(rng);
+        CancelToken token;
+        Trace trace;
+        std::atomic<int> calls{0};
+        bool threw = false;
+        try {
+          engine.execute(
+              g,
+              [&](task_id, const Task&, int) {
+                const int call = calls.fetch_add(1) + 1;
+                if (call != odd_at) return;
+                if (throws) throw tqr::Error("boom");
+                token.request_cancel();
+              },
+              &trace, &token);
+        } catch (const Cancelled&) {
+          threw = cancels;
+        } catch (const tqr::Error&) {
+          threw = throws;
+        }
+        EXPECT_TRUE(threw) << "caller " << id;
+        std::size_t drops = 0;
+        for (const auto& e : trace.events())
+          if (e.kind != TraceEvent::Kind::kTask) ++drops;
+        EXPECT_EQ(static_cast<std::size_t>(calls.load()) + drops, g.size())
+            << "caller " << id;
+        continue;
+      }
+      const dag::TaskGraph g = random_graph(rng, 8 + rep % 57);
+      std::vector<std::atomic<int>> ran(g.size());
+      std::vector<std::atomic<int>> early(g.size());
+      engine.execute(g, [&](task_id t, const Task&, int w) {
+        EXPECT_GE(w, 0);
+        EXPECT_LT(w, 4);
+        for (auto it = g.predecessors_begin(t); it != g.predecessors_end(t);
+             ++it)
+          if (ran[*it].load() != 1) early[t].store(1);
+        ran[t].fetch_add(1);
+      });
+      for (std::size_t t = 0; t < g.size(); ++t) {
+        EXPECT_EQ(ran[t].load(), 1)
+            << "caller " << id << " rep " << rep << " task " << t;
+        EXPECT_EQ(early[t].load(), 0) << "task " << t << " ran before a dep";
+      }
+      clean_runs.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> callers;
+  for (int id = 0; id < kCallers; ++id) callers.emplace_back(caller, id);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(clean_runs.load(), kCallers * kRuns - 2);
+  EXPECT_EQ(engine.runs_completed(),
+            static_cast<std::uint64_t>(kCallers * kRuns - 2));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,6 +12,7 @@
 #include "la/checks.hpp"
 #include "la/matrix.hpp"
 #include "la/tiled_matrix.hpp"
+#include "obs/json.hpp"
 
 namespace tqr::svc {
 namespace {
@@ -291,6 +294,40 @@ TEST(QrService, TraceRecordsConfiguredInnerBlock) {
   service.drain();
   const std::string json = service.trace_json();
   EXPECT_NE(json.find("\"ib\":8"), std::string::npos) << json.substr(0, 400);
+}
+
+TEST(QrService, LoneJobUsesEveryWorker) {
+  // The lanes share one worker group, so a job running alone on a default
+  // (2-lane) service is not confined to cores / lanes workers: its kernel
+  // spans land on more distinct worker rows than a per-lane split allows.
+  // A loaded machine can starve a worker for one whole job, so up to three
+  // lone jobs get the chance; with split workers none of them can pass.
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores < 2) GTEST_SKIP() << "needs at least 2 cores";
+  ServiceConfig config;
+  config.collect_trace = true;
+  QrService service(config);
+  const std::size_t split = static_cast<std::size_t>(
+      std::max(1, cores / config.lanes));
+  std::size_t best = 0;
+  for (int attempt = 0; attempt < 3 && best <= split; ++attempt) {
+    auto result =
+        service.submit(spec_for(512, 512, 300 + attempt, false)).get();
+    ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+    service.drain();
+    // Kernel spans: complete events on a lane's worker rows (tid 1 + w).
+    std::set<int> tids;
+    const obs::Json doc = obs::Json::parse(service.trace_json());
+    for (const obs::Json& e : doc.find("traceEvents")->items()) {
+      if (e.find("ph")->as_string() != "X") continue;
+      const int pid = static_cast<int>(e.find("pid")->as_number());
+      const int tid = static_cast<int>(e.find("tid")->as_number());
+      if (pid >= 1 && tid >= 1) tids.insert(tid);
+    }
+    // The log accumulates, so the row count only grows across attempts.
+    best = tids.size();
+  }
+  EXPECT_GT(best, split) << "a lone job ran on at most cores / lanes workers";
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //                (factors on every core; prints wall time and GFLOP/s;
 //                tile 0 = core::host_tile)
 //   tqr solve    --in A.mtx --rhs b.mtx --out x.mtx [--tile 16] [--refine 1]
-//                (prints wall time and GFLOP/s; or --batch N --rows 16
-//                --cols 16 for the batched engine)
+//                (QR factors on every core; prints wall time and GFLOP/s;
+//                or --batch N --rows 16 --cols 16 for the batched engine)
 //   tqr simulate --size 3200 [--tile 16] [--gpus 3] [--nodes 1] [--fixed-p N]
 //   tqr plan     --size 3200 [--tile 16] [--gpus 3]
 //   tqr serve    --jobs 256x256:16,512x256:4 [--lanes 2] [--json]
@@ -337,6 +337,8 @@ int cmd_solve(int argc, char** argv) {
     } else {
       typename core::TiledQrFactorization<double>::Options opts;
       opts.inner_block = ib;
+      opts.workers =
+          std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
       auto f = core::TiledQrFactorization<double>::factor(a, b, opts);
       x = refine > 0 ? f.solve_refined(a, rhs, refine) : f.solve(rhs);
     }
@@ -500,7 +502,8 @@ std::vector<TraceShape> parse_trace(const std::string& spec) {
 int cmd_serve(int argc, char** argv) {
   Cli cli;
   cli.flag("jobs", "trace: ROWSxCOLS:COUNT[,...]", "256x256:16,512x256:4");
-  cli.flag("lanes", "concurrent execution lanes", "2");
+  cli.flag("lanes", "jobs in flight at once (sharing one all-core worker group)",
+           "2");
   cli.flag("tile", "tile size (0 = core::host_tile per job)", "0");
   cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
