@@ -35,31 +35,6 @@
 namespace tqr {
 namespace {
 
-struct TraceShape {
-  la::index_t rows, cols;
-  int count;
-};
-
-std::vector<TraceShape> parse_trace(const std::string& spec) {
-  std::vector<TraceShape> shapes;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t x = item.find('x');
-    const std::size_t colon = item.find(':');
-    TQR_REQUIRE(x != std::string::npos && colon != std::string::npos,
-                "trace items are ROWSxCOLS:COUNT");
-    shapes.push_back(
-        {static_cast<la::index_t>(std::stol(item.substr(0, x))),
-         static_cast<la::index_t>(std::stol(item.substr(x + 1, colon - x - 1))),
-         static_cast<int>(std::stol(item.substr(colon + 1)))});
-    pos = comma + 1;
-  }
-  return shapes;
-}
-
 struct RunMetrics {
   int jobs = 0;
   double wall_s = 0;
@@ -86,7 +61,8 @@ struct RunMetrics {
 /// queue would see) and returns wall-clock throughput over the replay only.
 /// `proto` carries the per-job knobs (tile, deadlines, retries); `strict`
 /// replays require kOk for every job, non-strict ones count the outcomes.
-RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
+RunMetrics replay(svc::QrService& service,
+                  const std::vector<svc::TraceShape>& trace,
                   std::uint64_t seed, const svc::JobSpec& proto = {},
                   bool strict = true) {
   const auto before = service.stats();
@@ -286,7 +262,7 @@ int main(int argc, char** argv) try {
   std::string spec =
       cli.get_string("jobs", "96x96:16,128x64:12,64x64:16,128x128:8");
   if (cli.get_bool("quick", false)) spec = "96x96:6,128x64:4";
-  const auto trace = parse_trace(spec);
+  const auto trace = svc::parse_trace(spec);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 
   svc::ServiceConfig base;
@@ -315,7 +291,7 @@ int main(int argc, char** argv) try {
   RunMetrics warm;
   {
     svc::QrService service(base);
-    std::vector<TraceShape> warmup;
+    std::vector<svc::TraceShape> warmup;
     for (const auto& s : trace) warmup.push_back({s.rows, s.cols, 1});
     (void)replay(service, warmup, seed + 1000, base_job);
     for (int rep = 0; rep < repeats; ++rep) {

@@ -95,13 +95,13 @@ if [[ "$MODE" == "perf" ]]; then
     --baseline "$REPO_DIR/BENCH_kernels.json" \
     --current "$OUT_DIR/kernels_current.json" \
     --tolerance "${PERF_TOLERANCE:-0.35}" \
-    --anchor gflops.gemm_naive.t128
+    --anchor gflops.gemm_packed.t128
   echo "== bench_diff e2e gate (whole factorization, host defaults) =="
   "$BUILD_DIR/bench/bench_diff" \
     --baseline "$REPO_DIR/BENCH_kernels.json" \
     --current "$OUT_DIR/kernels_current.json" \
     --tolerance "${PERF_TOLERANCE:-0.35}" \
-    --anchor gflops.gemm_naive.t128 \
+    --anchor gflops.gemm_packed.t128 \
     --only e2e
 
   echo "== service throughput (quick, contended sweep) =="

@@ -1,6 +1,9 @@
 #include "core/tiled_qr.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/timer.hpp"
 
 namespace tqr::core {
 
@@ -11,11 +14,15 @@ la::index_t host_tile(la::index_t cols) {
   return 16;
 }
 
+namespace {
+
 template <typename T>
-void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
-                  la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
+void execute_task(const dag::Task& task, QrPlanes<T>& planes,
                   la::index_t inner_block) {
   using dag::Op;
+  la::TiledMatrix<T>& a = planes.a;
+  la::TiledMatrix<T>& tg = planes.tg;
+  la::TiledMatrix<T>& te = planes.te;
   switch (task.op) {
     case Op::kGeqrt:
       la::geqrt<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
@@ -48,50 +55,121 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
   }
 }
 
-template <typename T>
-TiledQrFactorization<T> TiledQrFactorization<T>::factor(
-    const la::Matrix<T>& a, int b, const Options& options) {
-  TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
-  la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
-  // TS runs geqrt on the diagonal tiles only, so its tg plane is n x n.
-  la::TiledMatrix<T> tg(
-      options.elim == dag::Elimination::kTs ? tiles.cols() : tiles.rows(),
-      tiles.cols(), b);
-  la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
-  dag::TaskGraph graph = dag::build_tiled_qr_graph(
-      tiles.tile_rows(), tiles.tile_cols(), options.elim, options.hier_groups);
-  auto run_task = [&](const dag::Task& task) {
-    execute_task<T>(task, tiles, tg, te, options.inner_block);
-  };
-  if (options.workers <= 1) {
-    for (const dag::Task& task : graph.tasks()) run_task(task);
-  } else {
-    runtime::DagExecutor::Options exec_opts;
-    exec_opts.workers = options.workers;
-    exec_opts.trace = options.trace;
-    runtime::DagExecutor::run(
-        graph,
-        [&](dag::task_id, const dag::Task& task, int) { run_task(task); },
-        exec_opts);
-  }
-  return TiledQrFactorization<T>(std::move(tiles), std::move(tg),
-                                 std::move(te), std::move(graph),
-                                 options.elim, options.inner_block);
-}
+}  // namespace
 
 template <typename T>
-la::Matrix<T> TiledQrFactorization<T>::r() const {
-  const std::int32_t n = a_.cols();
-  la::Matrix<T> out(n, n);
-  for (std::int32_t j = 0; j < n; ++j)
-    for (std::int32_t i = 0; i <= j; ++i) out(i, j) = a_.at(i, j);
+QrPlanes<T>::QrPlanes(la::index_t rows, la::index_t cols, la::index_t b,
+                      dag::Elimination elim)
+    : a(rows, cols, b, typename la::TiledMatrix<T>::Unfilled{}),
+      tg(elim == dag::Elimination::kTs ? cols : rows, cols, b,
+         typename la::TiledMatrix<T>::Unfilled{}),
+      te(rows, cols, b, typename la::TiledMatrix<T>::Unfilled{}) {}
+
+template <typename T, typename S>
+QrTaskRunner<T, S>::QrTaskRunner(const dag::TaskGraph& graph,
+                                 la::ConstMatrixView<S> src,
+                                 QrPlanes<T> planes, la::index_t inner_block)
+    : graph_(graph),
+      src_(src),
+      planes_(std::move(planes)),
+      inner_block_(inner_block),
+      loads_(graph.size(), 0) {
+  const la::TiledMatrix<T>& a = planes_.a;
+  TQR_REQUIRE(src.rows <= a.rows() && src.cols <= a.cols() &&
+                  a.rows() - src.rows < a.tile_size() &&
+                  a.cols() - src.cols < a.tile_size(),
+              "QrTaskRunner: planes are not the padded shape of the input");
+  std::vector<bool> touched(
+      static_cast<std::size_t>(a.tile_rows()) * a.tile_cols(), false);
+  for (std::size_t t = 0; t < graph.size(); ++t) {
+    dag::TileAccess acc[5];
+    const int n_acc = dag::tile_accesses(graph.tasks()[t], acc);
+    for (int idx = 0; idx < n_acc; ++idx) {
+      if (acc[idx].plane != dag::Plane::kA) continue;
+      const std::size_t tile =
+          static_cast<std::size_t>(acc[idx].j) * a.tile_rows() + acc[idx].i;
+      if (touched[tile]) continue;
+      touched[tile] = true;
+      loads_[t] = static_cast<std::uint8_t>(loads_[t] | (1u << idx));
+    }
+  }
+}
+
+template <typename T, typename S>
+void QrTaskRunner<T, S>::operator()(dag::task_id t, const dag::Task& task) {
+  if (const unsigned loads = loads_[static_cast<std::size_t>(t)]) {
+    dag::TileAccess acc[5];
+    const int n_acc = dag::tile_accesses(task, acc);
+    for (int idx = 0; idx < n_acc; ++idx)
+      if (loads & (1u << idx))
+        planes_.a.load_tile(acc[idx].i, acc[idx].j, src_);
+  }
+  execute_task<T>(task, planes_, inner_block_);
+}
+
+template <typename T, typename S>
+double QrTaskRunner<T, S>::run_all(int workers, runtime::Trace* trace) {
+  if (workers <= 1) {
+    Timer clock;
+    for (std::size_t t = 0; t < graph_.size(); ++t)
+      (*this)(static_cast<dag::task_id>(t), graph_.tasks()[t]);
+    return clock.seconds();
+  }
+  runtime::DagExecutor::Options exec_opts;
+  exec_opts.workers = workers;
+  exec_opts.trace = trace;
+  return runtime::DagExecutor::run(
+      graph_,
+      [this](dag::task_id t, const dag::Task& task, int) { (*this)(t, task); },
+      exec_opts);
+}
+
+QrPlanes<double> widen(const QrPlanes<float>& planes,
+                       const dag::TaskGraph& graph) {
+  const la::index_t b = planes.a.tile_size();
+  // Only TS sizes tg cols x cols; for a square matrix both shapes agree.
+  QrPlanes<double> out(planes.a.rows(), planes.a.cols(), b,
+                       planes.tg.rows() == planes.a.cols()
+                           ? dag::Elimination::kTs
+                           : dag::Elimination::kTt);
+  const std::size_t count = static_cast<std::size_t>(b) * b;
+  auto copy_tile = [&](dag::Plane p, la::index_t i, la::index_t j) {
+    const float* from = planes.plane(p).tile_data(i, j);
+    std::copy(from, from + count, out.plane(p).tile_data(i, j));
+  };
+  for (la::index_t j = 0; j < planes.a.tile_cols(); ++j)
+    for (la::index_t i = 0; i < planes.a.tile_rows(); ++i)
+      copy_tile(dag::Plane::kA, i, j);
+  for (const dag::Task& task : graph.tasks()) {
+    if (task.op == dag::Op::kGeqrt)
+      copy_tile(dag::Plane::kTg, task.i, task.k);
+    else if (task.op == dag::Op::kTsqrt || task.op == dag::Op::kTtqrt)
+      copy_tile(dag::Plane::kTe, task.i, task.k);
+  }
   return out;
 }
 
 template <typename T>
-void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
-                   const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
+TiledQrFactorization<T> TiledQrFactorization<T>::factor(
+    const la::Matrix<T>& a, int b, const Options& options) {
+  TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
+  QrPlanes<T> planes(a.rows(), a.cols(), b, options.elim);
+  dag::TaskGraph graph = dag::build_tiled_qr_graph(
+      planes.a.tile_rows(), planes.a.tile_cols(), options.elim,
+      options.hier_groups);
+  QrTaskRunner<T> run(graph, a.view(), std::move(planes),
+                      options.inner_block);
+  const double exec_s = run.run_all(options.workers, options.trace);
+  return TiledQrFactorization<T>(std::move(run.planes()), std::move(graph),
+                                 options.elim, options.inner_block, exec_s);
+}
+
+template <typename T>
+void apply_q_tiles(const dag::TaskGraph& graph, const QrPlanes<T>& planes,
                    la::MatrixView<T> c, la::Trans trans) {
+  const la::TiledMatrix<T>& a = planes.a;
+  const la::TiledMatrix<T>& tg = planes.tg;
+  const la::TiledMatrix<T>& te = planes.te;
   TQR_REQUIRE(c.rows == a.rows(), "apply_q: row mismatch");
   const la::index_t b = a.tile_size();
   auto row_block = [&](std::int32_t i) {
@@ -128,20 +206,20 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
 template <typename T>
 void TiledQrFactorization<T>::apply_q(la::MatrixView<T> c,
                                       la::Trans trans) const {
-  apply_q_tiles<T>(graph_, a_, tg_, te_, c, trans);
+  apply_q_tiles<T>(graph_, planes_, c, trans);
 }
 
 template <typename T>
 la::Matrix<T> TiledQrFactorization<T>::form_q() const {
-  la::Matrix<T> q = la::Matrix<T>::identity(a_.rows());
+  la::Matrix<T> q = la::Matrix<T>::identity(rows());
   apply_q(q.view(), la::Trans::kNoTrans);
   return q;
 }
 
 template <typename T>
 la::Matrix<T> TiledQrFactorization<T>::form_q_thin() const {
-  la::Matrix<T> q(a_.rows(), a_.cols());
-  for (std::int32_t i = 0; i < a_.cols(); ++i) q(i, i) = T(1);
+  la::Matrix<T> q(rows(), cols());
+  for (std::int32_t i = 0; i < cols(); ++i) q(i, i) = T(1);
   apply_q(q.view(), la::Trans::kNoTrans);
   return q;
 }
@@ -149,7 +227,7 @@ la::Matrix<T> TiledQrFactorization<T>::form_q_thin() const {
 template <typename T>
 la::Matrix<T> TiledQrFactorization<T>::solve_refined(
     const la::Matrix<T>& a, const la::Matrix<T>& rhs, int iterations) const {
-  TQR_REQUIRE(a.rows() == a_.rows() && a.cols() == a_.cols(),
+  TQR_REQUIRE(a.rows() == rows() && a.cols() == cols(),
               "solve_refined: matrix shape does not match the factorization");
   la::Matrix<T> x = solve(rhs);
   for (int it = 0; it < iterations; ++it) {
@@ -165,10 +243,10 @@ la::Matrix<T> TiledQrFactorization<T>::solve_refined(
 
 template <typename T>
 la::Matrix<T> TiledQrFactorization<T>::solve(const la::Matrix<T>& rhs) const {
-  TQR_REQUIRE(rhs.rows() == a_.rows(), "solve: rhs row mismatch");
+  TQR_REQUIRE(rhs.rows() == rows(), "solve: rhs row mismatch");
   la::Matrix<T> qtb = rhs;
   apply_q(qtb.view(), la::Trans::kTrans);
-  const std::int32_t n = a_.cols();
+  const std::int32_t n = cols();
   la::Matrix<T> x(n, rhs.cols());
   la::copy<T>(qtb.block(0, 0, n, rhs.cols()), x.view());
   la::Matrix<T> rr = r();
@@ -255,21 +333,16 @@ MixedSolveResult qr_solve_mixed(const la::Matrix<double>& a,
 }
 
 // Explicit instantiations.
-template void execute_task<float>(const dag::Task&, la::TiledMatrix<float>&,
-                                  la::TiledMatrix<float>&,
-                                  la::TiledMatrix<float>&, la::index_t);
-template void execute_task<double>(const dag::Task&, la::TiledMatrix<double>&,
-                                   la::TiledMatrix<double>&,
-                                   la::TiledMatrix<double>&, la::index_t);
+template struct QrPlanes<float>;
+template struct QrPlanes<double>;
+template class QrTaskRunner<float>;
+template class QrTaskRunner<double>;
+template class QrTaskRunner<float, double>;
 template void apply_q_tiles<float>(const dag::TaskGraph&,
-                                   const la::TiledMatrix<float>&,
-                                   const la::TiledMatrix<float>&,
-                                   const la::TiledMatrix<float>&,
+                                   const QrPlanes<float>&,
                                    la::MatrixView<float>, la::Trans);
 template void apply_q_tiles<double>(const dag::TaskGraph&,
-                                    const la::TiledMatrix<double>&,
-                                    const la::TiledMatrix<double>&,
-                                    const la::TiledMatrix<double>&,
+                                    const QrPlanes<double>&,
                                     la::MatrixView<double>, la::Trans);
 template class TiledQrFactorization<float>;
 template class TiledQrFactorization<double>;

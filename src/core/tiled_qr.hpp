@@ -5,12 +5,15 @@
 // so Q can be re-applied by replaying the factor tasks. Factorization runs
 // sequentially (deterministic order) or on a work-stealing
 // runtime::DagExecutor; tests compare the two to prove the numerics are
-// schedule-independent.
+// schedule-independent. Either way the tasks run through QrTaskRunner,
+// which loads each tile at its first touch inside the graph.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <vector>
 
 #include "dag/graph.hpp"
+#include "dag/task_accesses.hpp"
 #include "dag/tiled_qr_dag.hpp"
 #include "la/checks.hpp"
 #include "la/kernels.hpp"
@@ -27,24 +30,84 @@ namespace tqr::core {
 /// simulator keeps the paper's b = 16 (core::PlanConfig).
 la::index_t host_tile(la::index_t cols);
 
-/// Executes one task against tile storage. Exposed so executors, tests, and
-/// the examples can drive custom schedules. inner_block is the factor
-/// kernels' recursion leaf width (la::geqrt; 0 = library default).
+/// Tile storage of one tiled QR factorization: the matrix tiles plus the
+/// two block-reflector planes. The planes are allocated unfilled: every A
+/// tile is written by its loader (QrTaskRunner), every factor kernel zeroes
+/// its own T block, and nothing reads a reflector tile the graph did not
+/// write, so a tile nothing touches (most of tg under TS) costs no memory.
 template <typename T>
-void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
-                  la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
-                  la::index_t inner_block = 0);
+struct QrPlanes {
+  QrPlanes() = default;
+  /// Unfilled planes for a rows x cols problem (multiples of b). TS runs
+  /// geqrt on the diagonal tiles only, so its tg plane is cols x cols.
+  QrPlanes(la::index_t rows, la::index_t cols, la::index_t b,
+           dag::Elimination elim);
+
+  la::TiledMatrix<T>& plane(dag::Plane p) {
+    return p == dag::Plane::kA ? a : (p == dag::Plane::kTg ? tg : te);
+  }
+  const la::TiledMatrix<T>& plane(dag::Plane p) const {
+    return p == dag::Plane::kA ? a : (p == dag::Plane::kTg ? tg : te);
+  }
+
+  la::TiledMatrix<T> a;
+  la::TiledMatrix<T> tg;  // geqrt block-reflector factors
+  la::TiledMatrix<T> te;  // ts/ttqrt block-reflector factors
+};
+
+/// Runs the tasks of a tiled QR factorization graph against the planes it
+/// owns, the one kernel wrapper of every host factorization
+/// (TiledQrFactorization and the svc job service). Each A tile is loaded
+/// from `src` by its first toucher — the first task in graph order whose
+/// accesses name the tile — just before that task's kernel, on the worker
+/// that runs it: a column copy narrowed to T, with the identity pad of
+/// la::pad_to_tiles beyond src. Every other access to the tile is a graph
+/// successor of the first toucher, so loading there is race-free and the
+/// first kernel starts as soon as its own tiles are in.
+template <typename T, typename S = T>
+class QrTaskRunner {
+ public:
+  /// `graph` and `src` must outlive the runner; `planes` has the padded
+  /// shape of src at the graph's tile grid.
+  QrTaskRunner(const dag::TaskGraph& graph, la::ConstMatrixView<S> src,
+               QrPlanes<T> planes, la::index_t inner_block);
+
+  /// Loads the A tiles task t touches first, then runs its kernel. Safe to
+  /// call concurrently for tasks the graph leaves unordered.
+  void operator()(dag::task_id t, const dag::Task& task);
+
+  /// Runs every task — in graph order when workers <= 1, else on a
+  /// transient DagExecutor recording into `trace` — and returns the
+  /// execution seconds.
+  double run_all(int workers, runtime::Trace* trace = nullptr);
+
+  QrPlanes<T>& planes() { return planes_; }
+
+ private:
+  const dag::TaskGraph& graph_;
+  la::ConstMatrixView<S> src_;
+  QrPlanes<T> planes_;
+  la::index_t inner_block_;
+  // Per task, a bit per dag::tile_accesses entry that first touches an A
+  // tile.
+  std::vector<std::uint8_t> loads_;
+};
 
 /// Applies Q (kNoTrans) or Q^T (kTrans) of a completed tiled factorization
 /// to c in place by replaying the factor tasks of `graph` against the tile
-/// storage the factorization wrote (a = factored tiles, tg/te = block
-/// reflectors). c.rows must equal a.rows(). Free-standing so callers that
-/// own tile storage directly — e.g. tqr::svc's per-job workspaces — can apply
-/// Q without wrapping the tiles in a TiledQrFactorization.
+/// storage the factorization wrote. c.rows must equal planes.a.rows(). Reads
+/// only tiles the graph wrote. Free-standing so callers that own tile
+/// storage directly — e.g. tqr::svc's per-job planes — can apply Q without
+/// wrapping the tiles in a TiledQrFactorization.
 template <typename T>
-void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
-                   const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
+void apply_q_tiles(const dag::TaskGraph& graph, const QrPlanes<T>& planes,
                    la::MatrixView<T> c, la::Trans trans);
+
+/// fp64 copy of fp32 planes: every A tile and the reflector tiles `graph`
+/// writes (float -> double is exact); the other reflector tiles stay
+/// unfilled, as nothing reads them.
+QrPlanes<double> widen(const QrPlanes<float>& planes,
+                       const dag::TaskGraph& graph);
 
 template <typename T>
 class TiledQrFactorization {
@@ -67,16 +130,19 @@ class TiledQrFactorization {
   static TiledQrFactorization factor(const la::Matrix<T>& a, int b,
                                      const Options& options = {});
 
-  std::int32_t rows() const { return a_.rows(); }
-  std::int32_t cols() const { return a_.cols(); }
-  int tile_size() const { return a_.tile_size(); }
+  std::int32_t rows() const { return planes_.a.rows(); }
+  std::int32_t cols() const { return planes_.a.cols(); }
+  int tile_size() const { return planes_.a.tile_size(); }
   dag::Elimination elimination() const { return elim_; }
   la::index_t inner_block() const { return inner_block_; }
   const dag::TaskGraph& graph() const { return graph_; }
-  const la::TiledMatrix<T>& tiles() const { return a_; }
+  const la::TiledMatrix<T>& tiles() const { return planes_.a; }
+  /// Seconds the factor tasks took: the executor's run, or the sequential
+  /// loop. The rest of factor() is setup (graph build, thread start).
+  double exec_seconds() const { return exec_s_; }
 
   /// The n x n upper-triangular R factor.
-  la::Matrix<T> r() const;
+  la::Matrix<T> r() const { return planes_.a.upper_triangle(cols()); }
 
   /// Applies Q (kNoTrans) or Q^T (kTrans) to c in place; c.rows == rows().
   void apply_q(la::MatrixView<T> c, la::Trans trans) const;
@@ -99,22 +165,20 @@ class TiledQrFactorization {
                               int iterations = 1) const;
 
  private:
-  TiledQrFactorization(la::TiledMatrix<T> a, la::TiledMatrix<T> tg,
-                       la::TiledMatrix<T> te, dag::TaskGraph graph,
-                       dag::Elimination elim, la::index_t inner_block)
-      : a_(std::move(a)),
-        tg_(std::move(tg)),
-        te_(std::move(te)),
+  TiledQrFactorization(QrPlanes<T> planes, dag::TaskGraph graph,
+                       dag::Elimination elim, la::index_t inner_block,
+                       double exec_s)
+      : planes_(std::move(planes)),
         graph_(std::move(graph)),
         elim_(elim),
-        inner_block_(inner_block) {}
+        inner_block_(inner_block),
+        exec_s_(exec_s) {}
 
-  la::TiledMatrix<T> a_;
-  la::TiledMatrix<T> tg_;  // geqrt block-reflector factors (n x n under TS)
-  la::TiledMatrix<T> te_;  // elimination block-reflector factors
+  QrPlanes<T> planes_;
   dag::TaskGraph graph_;
   dag::Elimination elim_;
   la::index_t inner_block_ = 0;
+  double exec_s_ = 0;
 };
 
 /// One-call convenience: QR-based least-squares solve of A x = b.

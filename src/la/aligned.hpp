@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 
 namespace tqr::la {
 
@@ -58,6 +59,27 @@ struct AlignedAllocator {
   bool operator==(const AlignedAllocator<U>&) const { return true; }
   template <typename U>
   bool operator!=(const AlignedAllocator<U>&) const { return false; }
+};
+
+/// AlignedAllocator whose value-less construct default-initializes, so
+/// resize() on a vector of a trivially constructible T leaves the new
+/// elements unwritten and their pages unfaulted until first use. Only
+/// TiledMatrix's unfilled planes use it; every other AlignedVector keeps the
+/// zeroing std::vector semantics.
+template <typename T>
+struct UnfilledAlignedAllocator : AlignedAllocator<T> {
+  UnfilledAlignedAllocator() = default;
+  template <typename U>
+  UnfilledAlignedAllocator(const UnfilledAlignedAllocator<U>&) {}  // NOLINT
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
 };
 
 /// True when p sits on a kMatrixAlignment boundary (test/assert helper).

@@ -8,9 +8,12 @@
 //
 // Matrix dimensions must be multiples of the tile size; pad_to_tiles() embeds
 // an arbitrary matrix into the smallest padded one (identity diagonal on the
-// pad so QR of the padded matrix restricts to QR of the original).
+// pad so QR of the padded matrix restricts to QR of the original), and
+// load_tile() writes one tile of that padded matrix straight from the
+// unpadded one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "la/matrix.hpp"
@@ -23,18 +26,18 @@ class TiledMatrix {
   TiledMatrix() = default;
 
   /// Zero-initialized rows x cols matrix with tile size b.
-  TiledMatrix(index_t rows, index_t cols, index_t b)
-      : rows_(rows), cols_(cols), b_(b) {
-    TQR_REQUIRE(b > 0, "tile size must be positive");
-    // Validates sign and index_t overflow before sizing the buffer (the
-    // tile-grid footprint equals rows * cols elements exactly).
-    const std::size_t count = checked_extent(rows, cols);
-    TQR_REQUIRE(rows % b == 0 && cols % b == 0,
-                "matrix dimensions must be multiples of the tile size "
-                "(use pad_to_tiles)");
-    mt_ = rows / b;
-    nt_ = cols / b;
-    data_.assign(count, T(0));
+  TiledMatrix(index_t rows, index_t cols, index_t b) {
+    data_.assign(shape(rows, cols, b), T(0));
+  }
+
+  /// Tag for the constructor that leaves the tiles unwritten.
+  struct Unfilled {};
+
+  /// rows x cols matrix whose tiles are allocated but not written: a page is
+  /// faulted in by the first write to it, so a tile nothing writes costs no
+  /// memory. Reading a tile before writing it is a bug.
+  TiledMatrix(index_t rows, index_t cols, index_t b, Unfilled) {
+    data_.resize(shape(rows, cols, b));
   }
 
   index_t rows() const { return rows_; }
@@ -76,11 +79,43 @@ class TiledMatrix {
     return tile(i / b_, j / b_)(i % b_, j % b_);
   }
 
+  /// Writes tile (i, j) of the identity-padded `src` (pad_to_tiles
+  /// semantics): a column copy, converting S to T, of the part inside src,
+  /// zeros elsewhere and 1 on the pad diagonal.
+  template <typename S>
+  void load_tile(index_t i, index_t j, ConstMatrixView<S> src) {
+    T* tile = tile_data(i, j);
+    const index_t r0 = i * b_;
+    const index_t inside = std::clamp<index_t>(src.rows - r0, 0, b_);
+    for (index_t jj = 0; jj < b_; ++jj, tile += b_) {
+      const index_t c = j * b_ + jj;
+      const index_t copied = c < src.cols ? inside : 0;
+      if (copied > 0) std::copy_n(&src(r0, c), copied, tile);
+      std::fill(tile + copied, tile + b_, T(0));
+      const index_t pad_row = src.rows + (c - src.cols) - r0;
+      if (c >= src.cols && pad_row >= 0 && pad_row < b_) tile[pad_row] = T(1);
+    }
+  }
+
+  /// The leading n x n upper triangle as a dense matrix (zero below the
+  /// diagonal), copied tile by tile one column segment at a time.
+  Matrix<T> upper_triangle(index_t n) const {
+    TQR_REQUIRE(n >= 0 && n <= rows_ && n <= cols_,
+                "upper_triangle: order exceeds the matrix");
+    Matrix<T> r(n, n);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r0 = 0; r0 <= j; r0 += b_)
+        std::copy_n(tile_data(r0 / b_, j / b_) +
+                        static_cast<std::size_t>(j % b_) * b_,
+                    std::min(b_, j + 1 - r0), &r(r0, j));
+    return r;
+  }
+
   /// Conversion from/to dense column-major layout.
   static TiledMatrix from_dense(ConstMatrixView<T> a, index_t b) {
-    TiledMatrix t(a.rows, a.cols, b);
-    for (index_t j = 0; j < a.cols; ++j)
-      for (index_t i = 0; i < a.rows; ++i) t.at(i, j) = a(i, j);
+    TiledMatrix t(a.rows, a.cols, b, Unfilled{});
+    for (index_t j = 0; j < t.nt_; ++j)
+      for (index_t i = 0; i < t.mt_; ++i) t.load_tile(i, j, a);
     return t;
   }
   static TiledMatrix from_dense(const Matrix<T>& a, index_t b) {
@@ -95,11 +130,29 @@ class TiledMatrix {
   }
 
  private:
+  /// Validates and records the shape; returns the element count.
+  std::size_t shape(index_t rows, index_t cols, index_t b) {
+    TQR_REQUIRE(b > 0, "tile size must be positive");
+    // Validates sign and index_t overflow before sizing the buffer (the
+    // tile-grid footprint equals rows * cols elements exactly).
+    const std::size_t count = checked_extent(rows, cols);
+    TQR_REQUIRE(rows % b == 0 && cols % b == 0,
+                "matrix dimensions must be multiples of the tile size "
+                "(use pad_to_tiles)");
+    rows_ = rows;
+    cols_ = cols;
+    b_ = b;
+    mt_ = rows / b;
+    nt_ = cols / b;
+    return count;
+  }
+
   index_t rows_ = 0, cols_ = 0, b_ = 0, mt_ = 0, nt_ = 0;
   // Aligned so tile(0, 0) starts on a cache line; tiles whose footprint is a
   // multiple of kMatrixAlignment (any b with b*b*sizeof(T) % 64 == 0, e.g.
-  // every even tile size for doubles) all start aligned.
-  AlignedVector<T> data_;
+  // every even tile size for doubles) all start aligned. The allocator
+  // leaves elements unwritten on resize(); the zeroing constructor fills.
+  std::vector<T, UnfilledAlignedAllocator<T>> data_;
 };
 
 /// Embeds `a` into the smallest (ceil to tile) padded matrix. The pad block

@@ -94,6 +94,20 @@ inline const char* to_string(Precision p) {
 /// InvalidArgument otherwise.
 Precision parse_precision(const std::string& name);
 
+/// One item of a job trace: `count` jobs of a rows x cols matrix.
+struct TraceShape {
+  la::index_t rows, cols;
+  int count;
+};
+
+/// Parses a job trace "ROWSxCOLS[:COUNT][,ROWSxCOLS[:COUNT]...]" (the
+/// `--jobs` grammar of `tqr serve/cluster` and `serve_throughput`), e.g.
+/// "256x256:16,512x256:4"; COUNT defaults to 1. Every shape must be
+/// non-empty with rows * cols within index_t (the largest la::Matrix), and
+/// the counts must add up to at most 1e6 jobs. Throws InvalidArgument on
+/// any malformed or out-of-range input.
+std::vector<TraceShape> parse_trace(const std::string& spec);
+
 struct JobSpec {
   /// Matrix to factor (rows >= cols; padded to the tile grid internally).
   la::Matrix<double> a;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -19,19 +20,6 @@
 namespace tqr::svc {
 
 namespace {
-
-/// Loads `src` into the tile storage with pad_to_tiles semantics: the pad
-/// block gets an identity diagonal so the padded matrix stays full-rank and
-/// its QR restricts to QR of `src`.
-void load_padded(la::TiledMatrix<double>& dst,
-                 la::ConstMatrixView<double> src) {
-  const la::index_t pr = dst.rows(), pc = dst.cols();
-  for (la::index_t j = 0; j < pc; ++j)
-    for (la::index_t i = 0; i < pr; ++i)
-      dst.at(i, j) = (i < src.rows && j < src.cols) ? src(i, j) : 0.0;
-  for (la::index_t d = 0; d + src.cols < pc && d + src.rows < pr; ++d)
-    dst.at(src.rows + d, src.cols + d) = 1.0;
-}
 
 /// Shape half of the caller-error screen: the tiled and batched engines
 /// both need one non-empty matrix shape with rows >= cols.
@@ -694,45 +682,39 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
                 &result.plan_cache_hit)
           : std::make_shared<const dag::TaskGraph>(build());
 
-  // Tile storage of this attempt alone: allocated here and freed on every
-  // exit (success, injected fault, or a cancellation unwinding through
-  // execute()), so a failed attempt's half-written or poisoned factors can
-  // never reach a later job or this job's retry.
-  // TS runs geqrt on the diagonal tiles only, so its tg plane is pc x pc.
-  const la::index_t tg_rows =
-      job.spec.elim == dag::Elimination::kTs ? pc : pr;
-  struct Planes {
-    la::TiledMatrix<double> a, tg, te;
+  // Tile storage of this attempt alone: allocated here, unfilled, and freed
+  // on every exit (success, injected fault, or a cancellation unwinding
+  // through execute()), so a failed attempt's half-written or poisoned
+  // factors can never reach a later job or this job's retry. The runner
+  // loads each tile of the caller's matrix (plus the identity pad) at its
+  // first touch inside the graph. fp32 jobs factor into float planes — the
+  // runner narrows as it loads — that are widened into fp64 ones after
+  // execution. float -> double is exact, so every downstream consumer — R
+  // extraction, the verification replays — sees precisely the reflectors
+  // the fp32 kernels wrote, just applied in fp64 arithmetic.
+  const la::index_t ib = config_.inner_block;
+  std::optional<core::QrTaskRunner<double, double>> run64;
+  std::optional<core::QrTaskRunner<float, double>> run32;
+  if (fp32)
+    run32.emplace(*graph, a.view(),
+                  core::QrPlanes<float>(pr, pc, b, job.spec.elim), ib);
+  else
+    run64.emplace(*graph, a.view(),
+                  core::QrPlanes<double>(pr, pc, b, job.spec.elim), ib);
+  // Calls fn with the planes the kernels write.
+  auto with_planes = [&run32, &run64](auto&& fn) {
+    if (run32)
+      fn(run32->planes());
+    else
+      fn(run64->planes());
   };
-  Planes ws{la::TiledMatrix<double>(pr, pc, b),
-            la::TiledMatrix<double>(tg_rows, pc, b),
-            la::TiledMatrix<double>(pr, pc, b)};
-  load_padded(ws.a, a.view());
-
-  // fp32 jobs factor into dedicated float planes and the factored planes
-  // are widened back into the fp64 ones after execution. float -> double
-  // is exact, so every downstream consumer — R extraction, the
-  // verification replays — sees precisely the reflectors the fp32 kernels
-  // wrote, just applied in fp64 arithmetic.
-  struct FloatPlanes {
-    la::TiledMatrix<float> a, tg, te;
-  };
-  std::unique_ptr<FloatPlanes> f32;
-  if (fp32) {
-    f32 = std::make_unique<FloatPlanes>(
-        FloatPlanes{la::TiledMatrix<float>(pr, pc, b),
-                    la::TiledMatrix<float>(tg_rows, pc, b),
-                    la::TiledMatrix<float>(pr, pc, b)});
-    for (la::index_t j = 0; j < pc; ++j)
-      for (la::index_t i = 0; i < pr; ++i)
-        f32->a.at(i, j) = static_cast<float>(ws.a.at(i, j));
-  }
 
   const Verify verify = job.spec.verify;
   // Tier-1 baseline: orthogonal transforms preserve column 2-norms, so each
-  // column of R must reproduce the matching column norm of the padded input.
-  // Captured here, before the factorization overwrites the tiles; one O(m n)
-  // pass, paid only when verification is on.
+  // column of R must reproduce the matching column norm of the padded input:
+  // the caller's column, or 1 for a pad column that carries an identity
+  // entry. One O(m n) pass over the caller's matrix, paid only when
+  // verification is on.
   std::vector<double> col_norm;
   double a_fro = 0;
   if (verify >= Verify::kScan) {
@@ -740,9 +722,10 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     double fro2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       double col2 = 0;
-      for (la::index_t i = 0; i < pr; ++i) {
-        const double v = ws.a.at(i, j);
-        col2 += v * v;
+      if (j < a.cols()) {
+        for (la::index_t i = 0; i < a.rows(); ++i) col2 += a(i, j) * a(i, j);
+      } else if (a.rows() + (j - a.cols()) < pr) {
+        col2 = 1;
       }
       col_norm[static_cast<std::size_t>(j)] = std::sqrt(col2);
       fro2 += col2;
@@ -755,8 +738,7 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
   // task-boundary hook: it enforces the exec deadline (measured from lane
   // pickup), short-circuits once the token latched (the executor then aborts
   // this run without releasing successors), and runs fault injection ahead
-  // of the real tile kernel.
-  const la::index_t ib = config_.inner_block;
+  // of the runner's tile loads and kernel.
   const double deadline_s = job.spec.exec_deadline_s;
   const int lane = result.lane;
 
@@ -767,26 +749,16 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
   // the bad tile. Cost: O(b^2) per written tile, a few percent of the O(b^3)
   // kernel it follows.
   const runtime::DagExecutor::Kernel scan_written_tiles =
-      [&ws, &f32](dag::task_id t, const dag::Task& task, int) {
+      [&with_planes](dag::task_id t, const dag::Task& task, int) {
         dag::TileAccess acc[5];
         const int n_acc = dag::tile_accesses(task, acc);
         for (int idx = 0; idx < n_acc; ++idx) {
           if (!acc[idx].write) continue;
-          bool ok;
-          if (f32) {
-            const la::TiledMatrix<float>& plane =
-                acc[idx].plane == dag::Plane::kA
-                    ? f32->a
-                    : (acc[idx].plane == dag::Plane::kTg ? f32->tg
-                                                         : f32->te);
-            ok = la::all_finite<float>(plane.tile(acc[idx].i, acc[idx].j));
-          } else {
-            const la::TiledMatrix<double>& plane =
-                acc[idx].plane == dag::Plane::kA
-                    ? ws.a
-                    : (acc[idx].plane == dag::Plane::kTg ? ws.tg : ws.te);
-            ok = la::all_finite<double>(plane.tile(acc[idx].i, acc[idx].j));
-          }
+          bool ok = true;
+          with_planes([&](const auto& planes) {
+            ok = la::all_finite(
+                planes.plane(acc[idx].plane).tile(acc[idx].i, acc[idx].j));
+          });
           if (!ok)
             throw VerificationError(
                 "verification: non-finite value in output of " +
@@ -803,8 +775,9 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
   Timer exec_clock;
   engine_->execute(
       *graph,
-      [this, &ws, &f32, ib, &control, picked_up_s, deadline_s, lane,
-       corrupting](dag::task_id t, const dag::Task& task, int) {
+      [this, &run32, &run64, &with_planes, &control, picked_up_s,
+       deadline_s, lane, corrupting](dag::task_id t, const dag::Task& task,
+                                     int) {
         auto past_deadline = [&] {
           return deadline_s > 0 &&
                  clock_.seconds() - picked_up_s > deadline_s;
@@ -831,10 +804,10 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
           throw Error("node down: injected crash at " + dag::to_string(task));
         }
         const double task_start_s = clock_.seconds();
-        if (f32)
-          core::execute_task<float>(task, f32->a, f32->tg, f32->te, ib);
+        if (run32)
+          (*run32)(t, task);
         else
-          core::execute_task<double>(task, ws.a, ws.tg, ws.te, ib);
+          (*run64)(t, task);
         const double brown =
             node_fault_ ? node_fault_->stall_factor(clock_.seconds()) : 1.0;
         if (brown > 1.0) {
@@ -865,12 +838,10 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
           const int n_acc = dag::tile_accesses(task, acc);
           for (int idx = 0; idx < n_acc; ++idx) {
             if (acc[idx].plane == dag::Plane::kA && acc[idx].write) {
-              if (f32)
+              with_planes([&](auto& planes) {
                 fault_->maybe_corrupt(t, task, lane,
-                                      f32->a.tile(acc[idx].i, acc[idx].j));
-              else
-                fault_->maybe_corrupt(t, task, lane,
-                                      ws.a.tile(acc[idx].i, acc[idx].j));
+                                      planes.a.tile(acc[idx].i, acc[idx].j));
+              });
               break;
             }
           }
@@ -880,29 +851,22 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
       verify >= Verify::kScan ? &scan_written_tiles : nullptr);
   result.exec_s = exec_clock.seconds();
   metrics_.exec_s.observe(result.exec_s);
-  if (fp32) {
-    // Widen the factored planes back into the fp64 ones (exactly);
-    // extraction and verification below read those.
-    for (la::index_t j = 0; j < pc; ++j) {
-      for (la::index_t i = 0; i < pr; ++i) {
-        ws.a.at(i, j) = static_cast<double>(f32->a.at(i, j));
-        ws.te.at(i, j) = static_cast<double>(f32->te.at(i, j));
-      }
-      for (la::index_t i = 0; i < tg_rows; ++i)
-        ws.tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
-    }
-  }
+  const core::QrPlanes<double> ws =
+      run32 ? core::widen(run32->planes(), *graph)
+            : std::move(run64->planes());
   if (trace_)
     obs::append_task_events(*trace_, task_trace.events(), *graph, b,
                             lane_pid(lane), exec_start_s,
                             static_cast<int>(ib));
 
   // Extract the caller-shaped R (leading block; identity padding keeps it
-  // equal to R of the unpadded matrix).
-  const la::index_t n = a.cols();
-  result.r = la::Matrix<double>(n, n);
-  for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i <= j; ++i) result.r(i, j) = ws.a.at(i, j);
+  // equal to R of the unpadded matrix). The verify tiers read R of the
+  // whole padded matrix.
+  result.r = ws.a.upper_triangle(a.cols());
+  const la::Matrix<double> r_pad =
+      verify >= Verify::kScan || job.spec.compute_residual
+          ? ws.a.upper_triangle(pc)
+          : la::Matrix<double>();
 
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));
@@ -915,10 +879,7 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     double worst = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       double col2 = 0;
-      for (la::index_t i = 0; i <= j && i < pr; ++i) {
-        const double v = ws.a.at(i, j);
-        col2 += v * v;
-      }
+      for (la::index_t i = 0; i <= j; ++i) col2 += r_pad(i, j) * r_pad(i, j);
       worst = std::max(
           worst,
           std::abs(std::sqrt(col2) - col_norm[static_cast<std::size_t>(j)]));
@@ -944,11 +905,10 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     la::Matrix<double> z(pr, 1);
     for (la::index_t i = 0; i < pc; ++i) {
       double s = 0;
-      for (la::index_t j = i; j < pc; ++j) s += ws.a.at(i, j) * x(j, 0);
+      for (la::index_t j = i; j < pc; ++j) s += r_pad(i, j) * x(j, 0);
       z(i, 0) = s;
     }
-    core::apply_q_tiles<double>(*graph, ws.a, ws.tg, ws.te, z.view(),
-                                la::Trans::kNoTrans);
+    core::apply_q_tiles<double>(*graph, ws, z.view(), la::Trans::kNoTrans);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
       double s = 0;
@@ -968,11 +928,8 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     // ||A - Q R||_F / ||A||_F over the padded matrix: build [R; 0],
     // apply Q by replaying the factor tasks, subtract A.
     la::Matrix<double> qr(pr, pc);
-    for (la::index_t j = 0; j < pc; ++j)
-      for (la::index_t i = 0; i <= j && i < pr; ++i)
-        qr(i, j) = ws.a.at(i, j);
-    core::apply_q_tiles<double>(*graph, ws.a, ws.tg, ws.te,
-                                qr.view(), la::Trans::kNoTrans);
+    la::copy<double>(r_pad.view(), qr.block(0, 0, pc, pc));
+    core::apply_q_tiles<double>(*graph, ws, qr.view(), la::Trans::kNoTrans);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {
@@ -1017,7 +974,7 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
 
   // The batch's fp64 interleaved factor storage, freed when the batch
   // returns. fp32 batches factor into float planes (the batched analogue
-  // of the single path's FloatPlanes) and widen back into these, so
+  // of the single path's core::widen) and widen back into these, so
   // extraction and verification below read fp64 either way.
   la::BatchMatrix<double> vr(m, n, count), tau(n, 1, count);
   struct FloatBatch {

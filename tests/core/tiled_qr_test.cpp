@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "dag/task_accesses.hpp"
 #include "la/reference_qr.hpp"
 #include "sim/platform.hpp"
 
@@ -215,6 +219,92 @@ TEST(TiledQr, ParallelExecutionMatchesSequentialBitwise) {
           ASSERT_EQ(ts.at(i, j), tp.at(i, j))
               << dag::elimination_name(elim) << " workers " << workers
               << ": tiles differ at " << i << "," << j;
+    }
+  }
+}
+
+TEST(TiledQr, UnwrittenReflectorTilesAreNeverRead) {
+  // The planes are allocated unfilled. Poisoning every tg/te tile the graph
+  // does not write with NaN must change nothing: R, Q applied either way
+  // and the least-squares solve stay bitwise equal to a run on zeroed
+  // planes, for every elimination tree, sequential and on 4 workers.
+  const int b = 8, m = 5 * b, n = 3 * b;
+  const Matrix<double> a = Matrix<double>::random(m, n, 62);
+  const Matrix<double> c = Matrix<double>::random(m, 2, 63);
+  // solve() of a factorization held in planes: R^{-1} (Q^T c)(0:n).
+  auto solve = [&](const dag::TaskGraph& g, const QrPlanes<double>& p) {
+    Matrix<double> qtc = c;
+    apply_q_tiles<double>(g, p, qtc.view(), Trans::kTrans);
+    Matrix<double> x(n, c.cols());
+    la::copy<double>(qtc.block(0, 0, n, c.cols()), x.view());
+    const Matrix<double> r = p.a.upper_triangle(n);
+    la::trsm_left<double>(la::UpLo::kUpper, Trans::kNoTrans,
+                          la::Diag::kNonUnit, r.view(), x.view());
+    return x;
+  };
+  auto expect_same = [](const Matrix<double>& x, const Matrix<double>& y,
+                        const std::string& what) {
+    ASSERT_EQ(x.rows(), y.rows());
+    ASSERT_EQ(x.cols(), y.cols());
+    for (index_t j = 0; j < x.cols(); ++j)
+      for (index_t i = 0; i < x.rows(); ++i)
+        ASSERT_EQ(x(i, j), y(i, j)) << what << " differs at " << i << "," << j;
+  };
+  for (const dag::Elimination elim :
+       {dag::Elimination::kTs, dag::Elimination::kTt,
+        dag::Elimination::kHier}) {
+    const dag::TaskGraph g = dag::build_tiled_qr_graph(m / b, n / b, elim, 2);
+    for (const int workers : {1, 4}) {
+      const std::string where = std::string(dag::elimination_name(elim)) +
+                                " workers " + std::to_string(workers);
+      QrPlanes<double> zeroed_planes;
+      zeroed_planes.a = la::TiledMatrix<double>(m, n, b);
+      zeroed_planes.tg = la::TiledMatrix<double>(
+          elim == dag::Elimination::kTs ? n : m, n, b);
+      zeroed_planes.te = la::TiledMatrix<double>(m, n, b);
+      QrTaskRunner<double> zeroed_run(g, a.view(), std::move(zeroed_planes),
+                                      0);
+      zeroed_run.run_all(workers);
+      const QrPlanes<double>& zeroed = zeroed_run.planes();
+
+      QrPlanes<double> poisoned_planes(m, n, b, elim);
+      for (const dag::Plane plane : {dag::Plane::kTg, dag::Plane::kTe}) {
+        la::TiledMatrix<double>& t = poisoned_planes.plane(plane);
+        for (index_t tj = 0; tj < t.tile_cols(); ++tj)
+          for (index_t ti = 0; ti < t.tile_rows(); ++ti) {
+            bool written = false;
+            for (const dag::Task& task : g.tasks()) {
+              dag::TileAccess acc[5];
+              const int n_acc = dag::tile_accesses(task, acc);
+              for (int idx = 0; idx < n_acc; ++idx)
+                written |= acc[idx].write && acc[idx].plane == plane &&
+                           acc[idx].i == ti && acc[idx].j == tj;
+            }
+            if (!written)
+              t.tile(ti, tj).fill(std::numeric_limits<double>::quiet_NaN());
+          }
+      }
+      QrTaskRunner<double> poisoned_run(g, a.view(),
+                                        std::move(poisoned_planes), 0);
+      poisoned_run.run_all(workers);
+      const QrPlanes<double>& poisoned = poisoned_run.planes();
+
+      expect_same(poisoned.a.upper_triangle(n), zeroed.a.upper_triangle(n),
+                  where + " R");
+      for (const Trans trans : {Trans::kNoTrans, Trans::kTrans}) {
+        Matrix<double> qz = c, qp = c;
+        apply_q_tiles<double>(g, zeroed, qz.view(), trans);
+        apply_q_tiles<double>(g, poisoned, qp.view(), trans);
+        expect_same(qp, qz, where + " apply_q");
+      }
+      const Matrix<double> x = solve(g, poisoned);
+      expect_same(x, solve(g, zeroed), where + " solve");
+      typename TiledQrFactorization<double>::Options opts;
+      opts.elim = elim;
+      opts.hier_groups = 2;
+      opts.workers = workers;
+      expect_same(TiledQrFactorization<double>::factor(a, b, opts).solve(c),
+                  x, where + " factor().solve");
     }
   }
 }

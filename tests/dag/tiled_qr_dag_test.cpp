@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "dag/task_accesses.hpp"
@@ -246,6 +248,70 @@ TEST(TaskAccesses, TsmqrReadsReflectorWritesTargets) {
   EXPECT_TRUE(acc[3].write);
   EXPECT_EQ(acc[3].i, 2);
   EXPECT_EQ(acc[3].j, 3);
+}
+
+TEST(TileAccess, FirstToucherPrecedesEveryOtherAccess) {
+  // core::QrTaskRunner loads each A tile inside its first toucher (the
+  // first task in graph order that accesses it). That is race-free only if
+  // the first toucher writes the tile and every other task that accesses
+  // the tile is a graph descendant of it.
+  struct Tree {
+    Elimination elim;
+    std::int32_t groups;
+  };
+  for (const Tree tree : {Tree{Elimination::kTs, 0}, Tree{Elimination::kTt, 0},
+                          Tree{Elimination::kHier, 2},
+                          Tree{Elimination::kHier, 4}}) {
+    for (const auto& [mt, nt] :
+         std::vector<std::pair<std::int32_t, std::int32_t>>{
+             {1, 1}, {1, 4}, {4, 4}, {16, 4}, {7, 3}, {32, 2}}) {
+      const TaskGraph g = build_tiled_qr_graph(mt, nt, tree.elim, tree.groups);
+      const std::string where = std::string(elimination_name(tree.elim)) +
+                                "/" + std::to_string(tree.groups) + " " +
+                                std::to_string(mt) + "x" + std::to_string(nt);
+      std::vector<task_id> first(static_cast<std::size_t>(mt) * nt, -1);
+      std::vector<std::vector<task_id>> accessors(first.size());
+      for (task_id t = 0; t < static_cast<task_id>(g.size()); ++t) {
+        TileAccess acc[5];
+        const int n = tile_accesses(g.task(t), acc);
+        for (int idx = 0; idx < n; ++idx) {
+          if (acc[idx].plane != Plane::kA) continue;
+          const std::size_t tile =
+              static_cast<std::size_t>(acc[idx].j) * mt + acc[idx].i;
+          if (first[tile] < 0) {
+            first[tile] = t;
+            EXPECT_TRUE(acc[idx].write)
+                << where << ": first toucher " << to_string(g.task(t))
+                << " does not write its tile";
+          } else {
+            accessors[tile].push_back(t);
+          }
+        }
+      }
+      for (std::size_t tile = 0; tile < first.size(); ++tile) {
+        ASSERT_GE(first[tile], 0) << where << ": tile " << tile
+                                  << " is never touched";
+        std::vector<bool> reached(g.size(), false);
+        std::vector<task_id> stack = {first[tile]};
+        reached[static_cast<std::size_t>(first[tile])] = true;
+        while (!stack.empty()) {
+          const task_id t = stack.back();
+          stack.pop_back();
+          for (const task_id* s = g.successors_begin(t);
+               s != g.successors_end(t); ++s)
+            if (!reached[static_cast<std::size_t>(*s)]) {
+              reached[static_cast<std::size_t>(*s)] = true;
+              stack.push_back(*s);
+            }
+        }
+        for (const task_id t : accessors[tile])
+          EXPECT_TRUE(reached[static_cast<std::size_t>(t)])
+              << where << ": " << to_string(g.task(t))
+              << " is not ordered after the first toucher "
+              << to_string(g.task(first[tile]));
+      }
+    }
+  }
 }
 
 }  // namespace

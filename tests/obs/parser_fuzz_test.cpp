@@ -1,6 +1,6 @@
-// Seeded mutation fuzzing of the two text parsers that read files from
-// outside the process: the MatrixMarket reader (`tqr factor/solve --in`) and
-// obs::Json (bench_diff baselines, traces). Valid documents are mutated by
+// Seeded mutation fuzzing of the text parsers that read input from outside
+// the process: the MatrixMarket reader (`tqr factor/solve --in`), obs::Json
+// (bench_diff baselines, traces) and the job-trace grammar (`--jobs`). Valid documents are mutated by
 // byte flips, truncations and splices; every mutant must either parse or
 // throw a tqr::Error. Anything else — std::bad_alloc from a size line that
 // names a huge matrix, a stack overflow, an out-of-range read the sanitizer
@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "la/io.hpp"
 #include "obs/json.hpp"
+#include "svc/job.hpp"
 
 namespace tqr {
 namespace {
@@ -139,6 +140,54 @@ TEST(ParserFuzz, JsonMutantsParseOrThrowTqrError) {
   const int parsed = fuzz(seeds, 0x6a736f6e5f66757aULL, parse);
   EXPECT_GT(parsed, 0);
   EXPECT_LT(parsed, kMutants);
+}
+
+TEST(ParserFuzz, JobsGrammarMutantsParseOrThrowTqrError) {
+  const std::vector<std::string> seeds = {
+      "256x256:16,512x256:4", "96x96:6,128x64:4", "1000x37",
+      "8192x256:1,64x64:1000000,2147483647x1:2", "2048x2048:12,"};
+  // A parsed trace must be servable: every shape names a matrix whose
+  // element count fits index_t, and the jobs add up to at most a million.
+  const auto parse = [](const std::string& text) {
+    std::int64_t jobs = 0;
+    for (const svc::TraceShape& s : svc::parse_trace(text)) {
+      ASSERT_GT(s.rows, 0);
+      ASSERT_GT(s.cols, 0);
+      ASSERT_GT(s.count, 0);
+      ASSERT_NO_THROW((void)la::checked_extent(s.rows, s.cols)) << text;
+      jobs += s.count;
+    }
+    ASSERT_LE(jobs, 1'000'000) << text;
+  };
+  const int parsed = fuzz(seeds, 0x6a6f62735f66757aULL, parse);
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kMutants);
+}
+
+TEST(JobsGrammar, ParsesShapesAndDefaultCount) {
+  const auto shapes = svc::parse_trace("256x128:16,64x64");
+  ASSERT_EQ(shapes.size(), 2u);
+  EXPECT_EQ(shapes[0].rows, 256);
+  EXPECT_EQ(shapes[0].cols, 128);
+  EXPECT_EQ(shapes[0].count, 16);
+  EXPECT_EQ(shapes[1].count, 1);
+  EXPECT_THROW(svc::parse_trace(""), InvalidArgument);
+  EXPECT_THROW(svc::parse_trace("64x"), InvalidArgument);
+  EXPECT_THROW(svc::parse_trace("64x64:0"), InvalidArgument);
+}
+
+TEST(JobsGrammar, RejectsShapesWhoseElementCountOverflowsIndex) {
+  // Found by the fuzzer: each side fit index_t, so the trace parsed and the
+  // job's matrix allocation failed later, mid-submission.
+  EXPECT_THROW(svc::parse_trace("281023256x256:16"), InvalidArgument);
+  EXPECT_THROW(svc::parse_trace("1000x2736737"), InvalidArgument);
+  EXPECT_EQ(svc::parse_trace("2147483647x1").front().rows, 2147483647);
+}
+
+TEST(JobsGrammar, RejectsMoreThanAMillionJobsInTotal) {
+  // Found by the fuzzer: the per-item cap let a trace add up past it.
+  EXPECT_THROW(svc::parse_trace("64x64:1000000,8x8:3"), InvalidArgument);
+  EXPECT_EQ(svc::parse_trace("64x64:999999,8x8:1").size(), 2u);
 }
 
 }  // namespace

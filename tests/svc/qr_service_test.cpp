@@ -4,6 +4,8 @@
 
 #include <future>
 #include <set>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -211,6 +213,53 @@ TEST(QrService, DefaultJobRunsTsAtHostTileBitwiseLikeSequential) {
   for (la::index_t j = 0; j < 200; ++j)
     for (la::index_t i = 0; i <= j; ++i)
       ASSERT_EQ(result.r(i, j), r(i, j)) << "R differs at " << i << "," << j;
+}
+
+TEST(QrService, PaddedShapesFactorInBothPrecisions) {
+  // Pad tiles are loaded inside the graph and the kScan norms come from the
+  // caller's matrix plus the identity pad, so every verify tier must accept
+  // padded shapes in both precisions, and R must equal, bit for bit, a
+  // sequential TS factorization of the padded input (narrowed first for
+  // fp32) at the host tile.
+  QrService service;
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<la::index_t, la::index_t>>{{1000, 37},
+                                                        {300, 200}}) {
+    const la::Matrix<double> a = la::Matrix<double>::random(rows, cols, 17);
+    const int b = core::host_tile(cols);
+    const la::Matrix<double> padded = la::pad_to_tiles<double>(a.view(), b);
+    la::Matrix<float> padded32(padded.rows(), padded.cols());
+    for (la::index_t j = 0; j < padded.cols(); ++j)
+      for (la::index_t i = 0; i < padded.rows(); ++i)
+        padded32(i, j) = static_cast<float>(padded(i, j));
+    const la::Matrix<double> r64 =
+        core::TiledQrFactorization<double>::factor(padded, b).r();
+    const la::Matrix<float> r32 =
+        core::TiledQrFactorization<float>::factor(padded32, b).r();
+    for (const Precision precision : {Precision::kFp64, Precision::kFp32}) {
+      for (const Verify verify : {Verify::kScan, Verify::kProbe,
+                                  Verify::kFull}) {
+        JobSpec spec;
+        spec.a = a;
+        spec.precision = precision;
+        spec.verify = verify;
+        const auto result = service.submit(std::move(spec)).get();
+        const std::string where = std::to_string(rows) + "x" +
+                                  std::to_string(cols) + " " +
+                                  to_string(precision) + " " +
+                                  to_string(verify);
+        ASSERT_EQ(result.status, JobStatus::kOk) << where << ": "
+                                                 << result.error;
+        ASSERT_EQ(result.r.rows(), cols) << where;
+        for (la::index_t j = 0; j < cols; ++j)
+          for (la::index_t i = 0; i <= j; ++i)
+            ASSERT_EQ(result.r(i, j), precision == Precision::kFp64
+                                          ? r64(i, j)
+                                          : static_cast<double>(r32(i, j)))
+                << where << ": R differs at " << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(QrService, TsEliminationJobsWork) {

@@ -25,6 +25,8 @@ echo "$out" | grep -Eq 'A - Q R.*e-1[4-9]' \
   || fail "reconstruction residual: $out"
 echo "$out" | grep -Eq '^wall [0-9.]+ s = [0-9.]+ GFLOP/s$' \
   || fail "factor speed: $out"
+echo "$out" | grep -Eq '^exec [0-9.]+ s, setup [0-9.]+ s$' \
+  || fail "factor exec/setup split: $out"
 
 # solve: QR and Cholesky methods, with wall time and speed.
 out=$("$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1)

@@ -2,8 +2,8 @@
 //
 //   tqr gen      --out A.mtx --rows 512 --cols 512 [--class uniform] [--seed 1]
 //   tqr factor   --in A.mtx [--tile 0] [--elim ts] [--q Q.bin] [--r R.mtx]
-//                (factors on every core; prints wall time and GFLOP/s;
-//                tile 0 = core::host_tile)
+//                (factors on every core; prints wall time, GFLOP/s and
+//                the exec/setup split; tile 0 = core::host_tile)
 //   tqr solve    --in A.mtx --rhs b.mtx --out x.mtx [--tile 16] [--refine 1]
 //                (QR factors on every core; prints wall time and GFLOP/s;
 //                or --batch N --rows 16 --cols 16 for the batched engine)
@@ -103,25 +103,6 @@ double checked_positive(const Cli& cli, const std::string& name,
   return v;
 }
 
-/// std::stoll with the exceptions translated: a malformed or out-of-range
-/// number in a compound spec (like a job trace) becomes a tqr usage error,
-/// not an uncaught std::out_of_range that aborts with exit code ~134.
-std::int64_t parse_int_field(const std::string& text,
-                             const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(text, &used);
-    if (used != text.size())
-      throw InvalidArgument("trailing characters in " + what + " '" + text +
-                            "'");
-    return v;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw InvalidArgument("bad " + what + " '" + text + "'");
-  }
-}
-
 int cmd_gen(int argc, char** argv) {
   Cli cli;
   cli.flag("out", "output matrix path (required)");
@@ -202,6 +183,8 @@ int cmd_factor(int argc, char** argv) {
               was_padded ? " (padded)" : "", f.graph().size(), opts.workers);
   std::printf("wall %.4f s = %.2f GFLOP/s\n", secs,
               la::flops_qr(a.rows(), a.cols()) / secs * 1e-9);
+  std::printf("exec %.4f s, setup %.4f s\n", f.exec_seconds(),
+              secs - f.exec_seconds());
   // Residuals from the thin m x n Q, so large problems stay checkable.
   const auto q = f.form_q_thin();
   const auto r = f.r();
@@ -456,49 +439,6 @@ int cmd_plan(int argc, char** argv) {
   return 0;
 }
 
-struct TraceShape {
-  la::index_t rows, cols;
-  int count;
-};
-
-/// Parses a job trace spec "ROWSxCOLS:COUNT[,ROWSxCOLS:COUNT...]",
-/// e.g. "256x256:16,512x256:4".
-std::vector<TraceShape> parse_trace(const std::string& spec) {
-  std::vector<TraceShape> shapes;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t x = item.find('x');
-    const std::size_t colon = item.find(':', x == std::string::npos ? 0 : x);
-    if (x == std::string::npos)
-      throw InvalidArgument("bad trace item '" + item +
-                            "' (expected ROWSxCOLS[:COUNT])");
-    const std::int64_t rows =
-        parse_int_field(item.substr(0, x), "trace rows");
-    const std::int64_t cols =
-        parse_int_field(item.substr(x + 1, colon - x - 1), "trace cols");
-    const std::int64_t count =
-        colon == std::string::npos
-            ? 1
-            : parse_int_field(item.substr(colon + 1), "trace count");
-    constexpr std::int64_t kMaxDim = std::numeric_limits<la::index_t>::max();
-    TQR_REQUIRE(rows > 0 && rows <= kMaxDim && cols > 0 && cols <= kMaxDim,
-                "trace shape out of range in '" + item + "'");
-    TQR_REQUIRE(count > 0 && count <= 1'000'000,
-                "trace count out of range in '" + item + "'");
-    TraceShape s;
-    s.rows = static_cast<la::index_t>(rows);
-    s.cols = static_cast<la::index_t>(cols);
-    s.count = static_cast<int>(count);
-    shapes.push_back(s);
-    pos = comma + 1;
-  }
-  TQR_REQUIRE(!shapes.empty(), "empty job trace");
-  return shapes;
-}
-
 int cmd_serve(int argc, char** argv) {
   Cli cli;
   cli.flag("jobs", "trace: ROWSxCOLS:COUNT[,...]", "256x256:16,512x256:4");
@@ -555,7 +495,7 @@ int cmd_serve(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto shapes =
-      parse_trace(cli.get_string("jobs", "256x256:16,512x256:4"));
+      svc::parse_trace(cli.get_string("jobs", "256x256:16,512x256:4"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const bool residual = cli.get_bool("residual", false);
   const bool json = cli.get_bool("json", false);
@@ -798,7 +738,7 @@ int cmd_cluster(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto shapes =
-      parse_trace(cli.get_string("jobs", "256x256:16,512x256:4"));
+      svc::parse_trace(cli.get_string("jobs", "256x256:16,512x256:4"));
   const bool json = cli.get_bool("json", false);
   const std::string trace_out = cli.get_string("trace-out", "");
   const std::string metrics_out = cli.get_string("metrics-out", "");
