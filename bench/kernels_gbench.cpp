@@ -321,6 +321,28 @@ void bench_tile_kernels(int b, double min_s, int ib,
         min_s);
     out.push_back({"tsmqr", b, la::flops_tsmqr(b) / s2 * 1e-9, s2});
   }
+  // trmm: W = T^T W with an upper b x b T on a b x b W, as tsmqr applies it
+  // for Q^T, charged b^3 (the nonzero half of the dense product). trmm_naive
+  // times the loop path that trmm_left takes below the packing threshold, on
+  // the same operands. Each call restores W, so that copy is timed too.
+  if (b <= 128) {
+    const auto t = Matrix<double>::random(b, b, 10);
+    const auto w_src = Matrix<double>::random(b, b, 11);
+    Matrix<double> w(b, b);
+    for (const bool naive : {false, true}) {
+      const auto trmm =
+          naive ? la::trmm_left_naive<double> : la::trmm_left<double>;
+      const double s = seconds_per_call(
+          [&] {
+            la::copy<double>(w_src.view(), w.view());
+            trmm(la::UpLo::kUpper, la::Trans::kTrans, la::Diag::kNonUnit,
+                 t.view(), w.view());
+          },
+          min_s);
+      out.push_back({naive ? "trmm_naive" : "trmm", b,
+                     double(b) * b * b / s * 1e-9, s});
+    }
+  }
   // ttqrt / ttmqr.
   {
     Matrix<double> r1(b, b), r2(b, b);

@@ -5,7 +5,8 @@
 # integration test subsets under ThreadSanitizer and runs them. The resident
 # executor, the parallel factorizations, job queue, plan cache, and service
 # stress tests are exactly the code where a data race would hide from the
-# functional suite.
+# functional suite. The kernel-workspace tests of test_la run too (each
+# thread's tile kernels take scratch from a thread_local stack).
 #
 # --perf mode — perf-regression gate: Release-builds the bench drivers,
 # regenerates the quick kernel numbers, and compares them against the
@@ -152,7 +153,7 @@ cmake -B "$BUILD_DIR" -S "$REPO_DIR" \
   ${CMAKE_EXTRA_FLAGS:-} > /dev/null
 cmake --build "$BUILD_DIR" -j \
   --target test_runtime test_svc test_cluster test_batched test_core \
-  test_integration
+  test_integration test_la
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # Per-binary timeout: the cancellation tests park threads on condition
@@ -173,4 +174,9 @@ echo "== test_core (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_core"
 echo "== test_integration (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_integration"
+# Every tile kernel takes its scratch from a thread_local workspace stack;
+# these run kernels on fresh and reused threads.
+echo "== test_la workspace tests (TSan) =="
+timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_la" \
+  --gtest_filter='Kernels.NoHeapAllocationAfterWarmup:Kernels.StaleWorkspaceIsNeverRead:Workspace.*'
 echo "check.sh: all concurrency tests passed under ThreadSanitizer"

@@ -4,9 +4,11 @@
 // (gemm_naive and the vector/triangular routines) and the packed
 // register-tiled SIMD engine in la/microkernel.hpp. gemm dispatches between
 // them by problem size — the loops win below the packing-amortization
-// threshold, the engine runs near hardware FLOP rates above it — and
-// trmm_left splits recursively so its off-diagonal bulk also flows through
-// gemm. Loop orders are chosen for column-major locality (j-k-i for gemm).
+// threshold, the engine runs near hardware FLOP rates above it. trmm_left and
+// trmm_right dispatch the same way: above the threshold the triangle runs
+// through the engine (mk::trmm_packed); below it, and in scalar builds, they
+// split recursively so the off-diagonal bulk flows through gemm. Loop orders
+// are chosen for column-major locality (j-k-i for gemm).
 // All routines validate shapes with TQR_REQUIRE.
 #pragma once
 
@@ -139,6 +141,16 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
 
 namespace detail {
 
+/// True when trmm on a triangle of order k against an m x n B runs through
+/// the packed engine: the same threshold and build gate as gemm.
+template <typename T>
+bool trmm_uses_packed(index_t m, index_t n, index_t k) {
+  if constexpr (mk::vectorized() &&
+                (std::is_same_v<T, float> || std::is_same_v<T, double>))
+    return mk::use_packed(m, n, k);
+  return false;
+}
+
 /// Largest triangle handled by the base-case trmm loops; the recursive
 /// drivers below split anything bigger, so the axpy temp can live on the
 /// stack.
@@ -237,15 +249,16 @@ void trmm_right_small(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
 
 }  // namespace detail
 
-/// B = op(A) * B with A triangular (left side). In-place.
-///
-/// Above a small base size the triangle is split 2x2 and the off-diagonal
-/// rectangular half flows through gemm (and thus the packed micro-kernel):
-/// for effective-lower op(A), B2 = op(A)22 B2 + op(A)21 B1 with B1 still
-/// unmodified, then B1 = op(A)11 B1; effective-upper mirrors it top-down.
+/// B = op(A) * B with A triangular (left side), in place, through the
+/// loop-based path: the dot/axpy base case up to kTrmmSmallMax rows, above
+/// that a 2x2 split whose off-diagonal rectangular half flows through gemm.
+/// For effective-lower op(A), B2 = op(A)22 B2 + op(A)21 B1 with B1 still
+/// unmodified, then B1 = op(A)11 B1; effective-upper mirrors it. This is
+/// trmm_left below the packing threshold; kept public (like gemm_naive) so
+/// tests and benches can compare the packed engine against it.
 template <typename T>
-void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
-               MatrixView<T> b) {
+void trmm_left_naive(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
+                     MatrixView<T> b) {
   const index_t m = b.rows, n = b.cols;
   TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
   if (m <= detail::kTrmmSmallMax || n == 0) {
@@ -257,7 +270,7 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
   auto b2 = b.block(m1, 0, m2, n);
   const bool effective_lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
   if (effective_lower) {
-    trmm_left<T>(uplo, trans, diag, a.block(m1, m1, m2, m2), b2);
+    trmm_left_naive<T>(uplo, trans, diag, a.block(m1, m1, m2, m2), b2);
     // op(A)21 is A21 (no-trans, lower) or A12^T (trans, upper).
     if (trans == Trans::kNoTrans)
       gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(1), a.block(m1, 0, m2, m1),
@@ -265,9 +278,9 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
     else
       gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), a.block(0, m1, m1, m2),
               b1, T(1), b2);
-    trmm_left<T>(uplo, trans, diag, a.block(0, 0, m1, m1), b1);
+    trmm_left_naive<T>(uplo, trans, diag, a.block(0, 0, m1, m1), b1);
   } else {
-    trmm_left<T>(uplo, trans, diag, a.block(0, 0, m1, m1), b1);
+    trmm_left_naive<T>(uplo, trans, diag, a.block(0, 0, m1, m1), b1);
     // op(A)12 is A12 (no-trans, upper) or A21^T (trans, lower).
     if (trans == Trans::kNoTrans)
       gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(1), a.block(0, m1, m1, m2),
@@ -275,21 +288,41 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
     else
       gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), a.block(m1, 0, m2, m1),
               b2, T(1), b1);
-    trmm_left<T>(uplo, trans, diag, a.block(m1, m1, m2, m2), b2);
+    trmm_left_naive<T>(uplo, trans, diag, a.block(m1, m1, m2, m2), b2);
   }
+}
+
+/// B = op(A) * B with A triangular (left side). In-place. Only the stored
+/// triangle of A is read, and not its diagonal under Diag::kUnit. Above
+/// gemm's packing threshold (vectorized builds) the multiply runs through
+/// the packed engine, mk::trmm_packed; below it, trmm_left_naive.
+template <typename T>
+void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
+               MatrixView<T> b) {
+  const index_t m = b.rows, n = b.cols;
+  TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
+  if (detail::trmm_uses_packed<T>(m, n, m))
+    mk::trmm_packed<T>(Side::kLeft, uplo, trans, diag, a, b);
+  else
+    trmm_left_naive<T>(uplo, trans, diag, a, b);
 }
 
 /// B = B * op(A) with A triangular (right side). In-place.
 ///
-/// Mirror of trmm_left: above the base size the triangle is split 2x2 and
-/// the off-diagonal rectangular half flows through gemm. For effective-upper
-/// op(A), B2 = B2 op(A)22 + B1 op(A)12 with B1 still unmodified, then
+/// Mirror of trmm_left: the packed engine above the threshold; otherwise,
+/// above the base size the triangle is split 2x2 and the off-diagonal
+/// rectangular half flows through gemm. For effective-upper op(A),
+/// B2 = B2 op(A)22 + B1 op(A)12 with B1 still unmodified, then
 /// B1 = B1 op(A)11; effective-lower mirrors it.
 template <typename T>
 void trmm_right(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
                 MatrixView<T> b) {
   const index_t m = b.rows, n = b.cols;
   TQR_REQUIRE(a.rows == n && a.cols == n, "trmm_right: A must be n x n");
+  if (detail::trmm_uses_packed<T>(m, n, n)) {
+    mk::trmm_packed<T>(Side::kRight, uplo, trans, diag, a, b);
+    return;
+  }
   if (n <= detail::kTrmmSmallMax || m == 0) {
     detail::trmm_right_small<T>(uplo, trans, diag, a, b);
     return;

@@ -39,15 +39,19 @@
 // top + non-unit upper-triangular bottom) and never touches R2 below its
 // diagonal.
 //
+// Every temporary (W blocks, merge cross products, the Householder column
+// buffer) comes from the calling thread's Workspace (la/workspace.hpp), so
+// after a warm-up call per shape no kernel call touches the heap.
+//
 // Numerical contract (asserted by the test suite): for random tiles,
 // reconstruction and orthogonality residuals are O(eps * n).
 #pragma once
 
 #include <cmath>
-#include <vector>
 
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "la/workspace.hpp"
 
 namespace tqr::la {
 
@@ -103,7 +107,8 @@ void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t) {
   TQR_REQUIRE(m >= n, "geqrt: require rows >= cols");
   TQR_REQUIRE(t.rows >= n && t.cols >= n, "geqrt: T factor too small");
   t.block(0, 0, n, n).fill(T(0));
-  std::vector<T> z(n);
+  Workspace::Frame frame;
+  T* const z = frame.array<T>(n);
 
   for (index_t k = 0; k < n; ++k) {
     T beta;
@@ -129,7 +134,7 @@ void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t) {
       for (index_t p = 0; p < k; ++p)
         z[p] = a(k, p) +  // row k of V column p (v_k has 1 at row k)
                mk::dot<T>(m - k - 1, a.data + (k + 1) + p * a.ld, vk);
-      detail::scaled_triu_matvec<T>(t, k, z.data(), -tau);
+      detail::scaled_triu_matvec<T>(t, k, z, -tau);
     }
   }
 }
@@ -152,8 +157,8 @@ inline constexpr index_t kWyFusedMax = 16;
 ///   W  = V1^T C1        (unit-lower trmm on a copy of C1)
 ///   W += V2^T C2        (gemm)
 ///   W  = op(Tf) W       (upper trmm)
-///   C1 -= V1 W          (unit-lower trmm on a copy of W)
 ///   C2 -= V2 W          (gemm)
+///   C1 -= V1 W          (unit-lower trmm on W itself, now free)
 /// trmm only reads the stored triangle, so the R factor above V's diagonal is
 /// never touched.
 template <typename T>
@@ -162,11 +167,12 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
   const index_t m = c.rows, n = c.cols, k = v.cols;
   TQR_REQUIRE(v.rows == m, "unmqr: V/C row mismatch");
   TQR_REQUIRE(t.rows >= k && t.cols >= k, "unmqr: T factor too small");
+  Workspace::Frame frame;
+  const MatrixView<T> w = frame.matrix<T>(k, n);
 
   if (k <= kWyFusedMax) {
     // Fused small path: W = V^T C with V unit lower trapezoidal (garbage
     // above the diagonal of the stored tile must be ignored).
-    Matrix<T> w(k, n);
     for (index_t j = 0; j < n; ++j)
       for (index_t p = 0; p < k; ++p)
         w(p, j) = c(p, j) +
@@ -174,7 +180,7 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
                              c.data + (p + 1) + j * c.ld);
     trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
                                                         : Trans::kTrans,
-                 Diag::kNonUnit, t.block(0, 0, k, k), w.view());
+                 Diag::kNonUnit, t.block(0, 0, k, k), w);
     for (index_t j = 0; j < n; ++j)
       for (index_t p = 0; p < k; ++p) {
         const T wpj = w(p, j);
@@ -190,27 +196,24 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
   auto c1 = c.block(0, 0, k, n);
 
   // W = V1^T C1 + V2^T C2.
-  Matrix<T> w(k, n);
-  copy<T>(c1, w.view());
-  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, v1, w.view());
+  copy<T>(c1, w);
+  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, v1, w);
   if (m > k)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v.block(k, 0, m - k, k),
-            c.block(k, 0, m - k, n), T(1), w.view());
+            c.block(k, 0, m - k, n), T(1), w);
 
   // W = op(Tf) W. Q uses Tf, Q^T uses Tf^T.
   trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
                                                       : Trans::kTrans,
-               Diag::kNonUnit, t.block(0, 0, k, k), w.view());
+               Diag::kNonUnit, t.block(0, 0, k, k), w);
 
-  // C1 -= V1 W, C2 -= V2 W.
-  Matrix<T> v1w(k, n);
-  copy<T>(w.view(), v1w.view());
-  trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, v1, v1w.view());
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < k; ++i) c1(i, j) -= v1w(i, j);
+  // C2 -= V2 W, then C1 -= V1 W with W itself turned into V1 W.
   if (m > k)
     gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v.block(k, 0, m - k, k),
-            w.view(), T(1), c.block(k, 0, m - k, n));
+            w, T(1), c.block(k, 0, m - k, n));
+  trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, v1, w);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < k; ++i) c1(i, j) -= w(i, j);
 }
 
 /// Unblocked TS (triangle-on-top-of-square) QR of [R1; A2]: the scalar
@@ -226,7 +229,8 @@ void tsqrt_unblocked(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t) {
   TQR_REQUIRE(a2.cols == b, "tsqrt: A2 column mismatch");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "tsqrt: T factor too small");
   t.block(0, 0, b, b).fill(T(0));
-  std::vector<T> z(b);
+  Workspace::Frame frame;
+  T* const z = frame.array<T>(b);
 
   for (index_t k = 0; k < b; ++k) {
     T beta;
@@ -249,7 +253,7 @@ void tsqrt_unblocked(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t) {
     if (k > 0) {
       for (index_t p = 0; p < k; ++p)
         z[p] = mk::dot<T>(m2, a2.data + p * a2.ld, vk);
-      detail::scaled_triu_matvec<T>(t, k, z.data(), -tau);
+      detail::scaled_triu_matvec<T>(t, k, z, -tau);
     }
   }
 }
@@ -265,19 +269,20 @@ void tsmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "tsmqr: T factor too small");
 
   // W = C1 + V2^T C2.
-  Matrix<T> w(b, n);
-  copy<T>(c1, w.view());
-  gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v2, c2, T(1), w.view());
+  Workspace::Frame frame;
+  const MatrixView<T> w = frame.matrix<T>(b, n);
+  copy<T>(c1, w);
+  gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v2, c2, T(1), w);
 
   // W = op(Tf) W.
   trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
                                                       : Trans::kTrans,
-               Diag::kNonUnit, t.block(0, 0, b, b), w.view());
+               Diag::kNonUnit, t.block(0, 0, b, b), w);
 
   // [C1; C2] -= [I; V2] W.
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < b; ++i) c1(i, j) -= w(i, j);
-  gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v2, w.view(), T(1), c2);
+  gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v2, w, T(1), c2);
 }
 
 /// Unblocked TT (triangle-on-top-of-triangle) QR of [R1; R2], both upper
@@ -292,7 +297,8 @@ void ttqrt_unblocked(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t) {
               "ttqrt: tiles must be b x b");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "ttqrt: T factor too small");
   t.block(0, 0, b, b).fill(T(0));
-  std::vector<T> z(b);
+  Workspace::Frame frame;
+  T* const z = frame.array<T>(b);
 
   for (index_t k = 0; k < b; ++k) {
     T beta;
@@ -312,7 +318,7 @@ void ttqrt_unblocked(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t) {
     if (k > 0) {
       for (index_t p = 0; p < k; ++p)
         z[p] = mk::dot<T>(p + 1, r2.data + p * r2.ld, vk);
-      detail::scaled_triu_matvec<T>(t, k, z.data(), -tau);
+      detail::scaled_triu_matvec<T>(t, k, z, -tau);
     }
   }
 }
@@ -326,17 +332,18 @@ void ttmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   TQR_REQUIRE(c1.rows == b && c2.rows == b && c2.cols == n,
               "ttmqr: tiles must be b x b / b x n");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "ttmqr: T factor too small");
+  Workspace::Frame frame;
+  const MatrixView<T> w = frame.matrix<T>(b, n);
 
   if (b <= kWyFusedMax) {
     // Fused small path over V2's triangular support (rows 0..j in col j).
-    Matrix<T> w(b, n);
     for (index_t j = 0; j < n; ++j)
       for (index_t p = 0; p < b; ++p)
         w(p, j) = c1(p, j) +
                   mk::dot<T>(p + 1, v2.data + p * v2.ld, c2.data + j * c2.ld);
     trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
                                                         : Trans::kTrans,
-                 Diag::kNonUnit, t.block(0, 0, b, b), w.view());
+                 Diag::kNonUnit, t.block(0, 0, b, b), w);
     for (index_t j = 0; j < n; ++j) {
       for (index_t i = 0; i < b; ++i) c1(i, j) -= w(i, j);
       // C2 -= V2 W column-axpy style so the inner loop streams down V2's
@@ -353,24 +360,22 @@ void ttmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   // W = C1 + V2^T C2 with V2 upper triangular (support rows 0..j in col j):
   // a triangular multiply on a copy of C2, so the blocked trmm (gemm-bound
   // off the diagonal) does the O(b^2 n) work.
-  Matrix<T> w(b, n);
-  copy<T>(c2, w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, v2, w.view());
+  copy<T>(c2, w);
+  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, v2, w);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < b; ++i) w(i, j) += c1(i, j);
 
   trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
                                                       : Trans::kTrans,
-               Diag::kNonUnit, t.block(0, 0, b, b), w.view());
+               Diag::kNonUnit, t.block(0, 0, b, b), w);
 
-  // [C1; C2] -= [I; V2] W, with V2 upper triangular.
-  Matrix<T> v2w(b, n);
-  copy<T>(w.view(), v2w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, v2, v2w.view());
-  for (index_t j = 0; j < n; ++j) {
+  // [C1; C2] -= [I; V2] W, with V2 upper triangular: C1 first, then W
+  // itself becomes V2 W.
+  for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < b; ++i) c1(i, j) -= w(i, j);
-    for (index_t i = 0; i < b; ++i) c2(i, j) -= v2w(i, j);
-  }
+  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, v2, w);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < b; ++i) c2(i, j) -= w(i, j);
 }
 
 namespace detail {
@@ -409,14 +414,15 @@ void geqrt_rec(MatrixView<T> a, MatrixView<T> t, index_t base) {
   // X = V2^T V1b over the shared support rows n1..m (V1's rows above n1 meet
   // only implicit zeros of V2): unit-lower trmm against V2's triangle plus a
   // gemm over the dense remainder. W = V1^T V2 is then X^T.
-  Matrix<T> x(n2, n1);
-  copy<T>(a.block(n1, 0, n2, n1), x.view());
+  Workspace::Frame frame;
+  const MatrixView<T> x = frame.matrix<T>(n2, n1);
+  copy<T>(a.block(n1, 0, n2, n1), x);
   trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit,
-               a.block(n1, n1, n2, n2), x.view());
+               a.block(n1, n1, n2, n2), x);
   if (m > n1 + n2)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
             a.block(n1 + n2, n1, m - n1 - n2, n2),
-            a.block(n1 + n2, 0, m - n1 - n2, n1), T(1), x.view());
+            a.block(n1 + n2, 0, m - n1 - n2, n1), T(1), x);
   auto t12 = t.block(0, n1, n1, n2);
   for (index_t j = 0; j < n2; ++j)
     for (index_t i = 0; i < n1; ++i) t12(i, j) = -x(j, i);
@@ -461,7 +467,8 @@ void tsqrt_rec(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t,
 template <typename T>
 void ttqrt_pent_base(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
                      index_t s, index_t w) {
-  std::vector<T> z(w);
+  Workspace::Frame frame;
+  T* const z = frame.array<T>(w);
   for (index_t kk = 0; kk < w; ++kk) {
     const index_t k = s + kk;
     T beta;
@@ -481,7 +488,7 @@ void ttqrt_pent_base(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
     if (kk > 0) {
       for (index_t p = s; p < k; ++p)
         z[p - s] = mk::dot<T>(p + 1, r2.data + p * r2.ld, vk);
-      scaled_triu_matvec<T>(t.block(s, s, w, w), kk, z.data(), -tau);
+      scaled_triu_matvec<T>(t.block(s, s, w, w), kk, z, -tau);
     }
   }
 }
@@ -503,28 +510,28 @@ void ttqrt_pent_apply_qt(MatrixView<T> r1, MatrixView<T> r2,
   auto u = r2.block(s, s, w1, w1);
 
   // W = C1 + D^T C2top + U^T C2mid.
-  Matrix<T> w(w1, nc);
-  copy<T>(c2m, w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, u, w.view());
+  Workspace::Frame frame;
+  const MatrixView<T> w = frame.matrix<T>(w1, nc);
+  copy<T>(c2m, w);
+  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, u, w);
   for (index_t j = 0; j < nc; ++j)
     for (index_t i = 0; i < w1; ++i) w(i, j) += c1(i, j);
   if (s > 0)
-    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), d, c2t, T(1), w.view());
+    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), d, c2t, T(1), w);
 
   // W = Tf^T W (factor direction only ever needs Q^T).
   trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit,
-               t.block(s, s, w1, w1), w.view());
+               t.block(s, s, w1, w1), w);
 
-  // [C1; C2] -= [I; V2] W over the pentagon's support.
+  // [C1; C2] -= [I; V2] W over the pentagon's support; W itself becomes
+  // U W once C1 and C2top have used it.
   for (index_t j = 0; j < nc; ++j)
     for (index_t i = 0; i < w1; ++i) c1(i, j) -= w(i, j);
   if (s > 0)
-    gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), d, w.view(), T(1), c2t);
-  Matrix<T> uw(w1, nc);
-  copy<T>(w.view(), uw.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, u, uw.view());
+    gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), d, w, T(1), c2t);
+  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, u, w);
   for (index_t j = 0; j < nc; ++j)
-    for (index_t i = 0; i < w1; ++i) c2m(i, j) -= uw(i, j);
+    for (index_t i = 0; i < w1; ++i) c2m(i, j) -= w(i, j);
 }
 
 /// Recursive ttqrt on global columns [s, s+w). Both halves are pentagons in
@@ -544,13 +551,14 @@ void ttqrt_rec(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
 
   // V1^T V2 over rows 0..s+w1-1 of R2 (V1's support; the right block is
   // dense there): U1^T M2 via trmm on a copy, plus D1^T D2 via gemm.
-  Matrix<T> y(w1, w2);
-  copy<T>(r2.block(s, s + w1, w1, w2), y.view());
+  Workspace::Frame frame;
+  const MatrixView<T> y = frame.matrix<T>(w1, w2);
+  copy<T>(r2.block(s, s + w1, w1, w2), y);
   trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit,
-               r2.block(s, s, w1, w1), y.view());
+               r2.block(s, s, w1, w1), y);
   if (s > 0)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), r2.block(0, s, s, w1),
-            r2.block(0, s + w1, s, w2), T(1), y.view());
+            r2.block(0, s + w1, s, w2), T(1), y);
   auto t12 = t.block(s, s + w1, w1, w2);
   for (index_t j = 0; j < w2; ++j)
     for (index_t i = 0; i < w1; ++i) t12(i, j) = -y(i, j);

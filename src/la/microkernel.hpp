@@ -28,17 +28,22 @@
 //
 // Threading: the engine is single-threaded by design; parallelism in this
 // codebase lives above the tile kernels (the DAG executor runs many tile
-// kernels concurrently), so each worker thread gets its own packing buffers
-// via thread_local storage.
+// kernels concurrently), so each worker thread packs into its own buffers,
+// taken from its thread-local Workspace (la/workspace.hpp).
+//
+// The same loop nest also runs the triangular multiply (trmm_packed): the
+// triangle is packed with explicit zeros and each micro-tile only runs over
+// the band of the inner dimension where the triangle is nonzero.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
 #include "la/aligned.hpp"
 #include "la/blas_types.hpp"
 #include "la/matrix.hpp"
+#include "la/workspace.hpp"
 
 #if !defined(TQR_MK_SCALAR) && (defined(__GNUC__) || defined(__clang__))
 #define TQR_MK_VECTORIZED 1
@@ -256,13 +261,131 @@ inline void write_back(const T* __restrict acc, T* __restrict c, index_t ldc,
   }
 }
 
-/// Per-thread packing buffers: each DAG-executor worker drives its own tile
-/// kernels, so the buffers are thread_local and grow to the largest blocking
-/// seen on that thread.
+/// The part of the inner dimension a micro-tile's product can be nonzero
+/// over when one operand is a triangle. The packed layout is p-major
+/// (ap + p*MR, bp + p*NR), so a band is a pointer offset and a length.
+enum class Band {
+  kFull,        // gemm: every p
+  kRowsPrefix,  // p < the tile's last row + 1      (left, op(A) lower)
+  kRowsSuffix,  // p >= the tile's first row        (left, op(A) upper)
+  kColsPrefix,  // p < the tile's last column + 1   (right, op(A) upper)
+  kColsSuffix,  // p >= the tile's first column     (right, op(A) lower)
+};
+
+/// Global [lo, hi) of p that the C tile rows [i0, i1) x columns [j0, j1)
+/// needs, intersected with the slice [pc, pc + kc) and made slice-local.
+/// Empty bands come back as lo == hi.
+inline void band_range(Band band, index_t i0, index_t i1, index_t j0,
+                       index_t j1, index_t pc, index_t kc, index_t& lo,
+                       index_t& hi) {
+  lo = pc;
+  hi = pc + kc;
+  switch (band) {
+    case Band::kFull: break;
+    case Band::kRowsPrefix: hi = std::min(hi, i1); break;
+    case Band::kRowsSuffix: lo = std::max(lo, i0); break;
+    case Band::kColsPrefix: hi = std::min(hi, j1); break;
+    case Band::kColsSuffix: lo = std::max(lo, j0); break;
+  }
+  lo -= pc;
+  hi = std::max(hi - pc, lo);
+}
+
+/// op(A)(i, p) of a triangular A, read only from the stored triangle: zero
+/// outside op(A)'s triangle (`lower`: op(A) is lower triangular) and 1 on a
+/// unit diagonal, whose stored entries are never read.
 template <typename T>
-inline std::vector<T, AlignedAllocator<T>>& pack_buffer(int which) {
-  thread_local std::vector<T, AlignedAllocator<T>> buf[2];
-  return buf[which];
+inline T op_tri(ConstMatrixView<T> a, Trans trans, bool lower, bool unit,
+                index_t i, index_t p) {
+  if (i == p)
+    return unit ? T(1) : a.data[static_cast<std::size_t>(i) * a.ld + i];
+  if (lower ? p > i : p < i) return T(0);
+  return trans == Trans::kNoTrans
+             ? a.data[static_cast<std::size_t>(p) * a.ld + i]
+             : a.data[static_cast<std::size_t>(i) * a.ld + p];
+}
+
+/// Packs one register panel of a triangular operand L = op(A) (left: an
+/// MR-row panel at rows [x0, x0+w)) or R = op(A) (right: an NR-column panel
+/// at columns [x0, x0+w)) over the slice [pc, pc+kc), writing only the band
+/// the micro-kernel reads: the part wholly inside the triangle through the
+/// dense packer, the panel's diagonal block element by element.
+template <typename T, int W>
+void pack_tri_panel(T* __restrict d, ConstMatrixView<T> a, Trans trans,
+                    bool lower, bool unit, bool left, index_t x0, index_t w,
+                    index_t pc, index_t kc) {
+  // The dense part precedes the diagonal block when the band is a prefix.
+  const bool prefix = left == lower;
+  const index_t f0 = prefix ? pc : std::max(pc, x0 + w);
+  const index_t f1 = prefix ? std::min(pc + kc, x0) : pc + kc;
+  if (f0 < f1) {
+    T* df = d + static_cast<std::size_t>(f0 - pc) * W;
+    if (left)
+      pack_a<T>(df, a, trans, T(1), x0, f0, w, f1 - f0);
+    else
+      pack_b<T>(df, a, trans, f0, x0, f1 - f0, w);
+  }
+  const index_t d1 = std::min(pc + kc, x0 + w);
+  for (index_t p = std::max(pc, x0); p < d1; ++p)
+    for (index_t x = 0; x < W; ++x)
+      d[(p - pc) * W + x] =
+          x >= w ? T(0)
+          : left ? op_tri<T>(a, trans, lower, unit, x0 + x, p)
+                 : op_tri<T>(a, trans, lower, unit, p, x0 + x);
+}
+
+/// The BLIS loop nest shared by gemm_packed and trmm_packed: C (m x n) =
+/// L (m x k) * R (k x n) + beta * C, where pack_l(dst, ic, pc, mc, kc) packs
+/// L's MR-row panels and pack_r(dst, pc, jc, kc, nc) R's NR-column panels.
+/// Each micro-tile runs only over its `band` of the slice, so a triangular
+/// operand costs the flops of its nonzero half. Pack buffers come from the
+/// thread's Workspace.
+template <typename T, typename PackL, typename PackR>
+void packed_loops(index_t m, index_t n, index_t k, const PackL& pack_l,
+                  const PackR& pack_r, Band band, T beta, MatrixView<T> c,
+                  const Blocking& bs) {
+  constexpr int MR = RegisterBlocking<T>::mr;
+  constexpr int NR = RegisterBlocking<T>::nr;
+  auto round_up = [](index_t x, index_t q) { return (x + q - 1) / q * q; };
+  const index_t kc_max = std::min(bs.kc, k);
+  Workspace::Frame frame;
+  T* const abuf = frame.array<T>(
+      static_cast<std::size_t>(round_up(std::min(bs.mc, m), MR)) * kc_max);
+  T* const bbuf = frame.array<T>(
+      static_cast<std::size_t>(round_up(std::min(bs.nc, n), NR)) * kc_max);
+
+  alignas(kMatrixAlignment) T acc[MR * NR];
+  for (index_t jc = 0; jc < n; jc += bs.nc) {
+    const index_t nc_eff = std::min(bs.nc, n - jc);
+    for (index_t pc = 0; pc < k; pc += bs.kc) {
+      const index_t kc_eff = std::min(bs.kc, k - pc);
+      pack_r(bbuf, pc, jc, kc_eff, nc_eff);
+      const T beta_eff = (pc == 0) ? beta : T(1);
+      for (index_t ic = 0; ic < m; ic += bs.mc) {
+        const index_t mc_eff = std::min(bs.mc, m - ic);
+        pack_l(abuf, ic, pc, mc_eff, kc_eff);
+        for (index_t jr = 0; jr < nc_eff; jr += NR) {
+          const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
+          const T* bp = bbuf + static_cast<std::size_t>(jr) * kc_eff;
+          for (index_t ir = 0; ir < mc_eff; ir += MR) {
+            const index_t mr_eff = std::min<index_t>(MR, mc_eff - ir);
+            index_t lo, hi;
+            band_range(band, ic + ir, ic + ir + mr_eff, jc + jr,
+                       jc + jr + nr_eff, pc, kc_eff, lo, hi);
+            detail::micro_kernel<T>(
+                hi - lo,
+                abuf + static_cast<std::size_t>(ir) * kc_eff +
+                    static_cast<std::size_t>(lo) * MR,
+                bp + static_cast<std::size_t>(lo) * NR, acc);
+            detail::write_back<T>(
+                acc,
+                c.data + static_cast<std::size_t>(jc + jr) * c.ld + (ic + ir),
+                c.ld, mr_eff, nr_eff, beta_eff);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace detail
@@ -277,8 +400,6 @@ void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
                  const Blocking& bs = default_blocking<T>()) {
   static_assert(std::is_floating_point_v<T>,
                 "gemm_packed supports float/double");
-  constexpr int MR = RegisterBlocking<T>::mr;
-  constexpr int NR = RegisterBlocking<T>::nr;
   const index_t m = c.rows, n = c.cols;
   const index_t k = (ta == Trans::kNoTrans) ? a.cols : a.rows;
   TQR_REQUIRE(((ta == Trans::kNoTrans) ? a.rows : a.cols) == m,
@@ -297,41 +418,87 @@ void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
         c(i, j) = (beta == T(0)) ? T(0) : beta * c(i, j);
     return;
   }
+  detail::packed_loops<T>(
+      m, n, k,
+      [&](T* dst, index_t ic, index_t pc, index_t mc, index_t kc) {
+        detail::pack_a<T>(dst, a, ta, alpha, ic, pc, mc, kc);
+      },
+      [&](T* dst, index_t pc, index_t jc, index_t kc, index_t nc) {
+        detail::pack_b<T>(dst, b, tb, pc, jc, kc, nc);
+      },
+      detail::Band::kFull, beta, c, bs);
+}
 
-  auto round_up = [](index_t x, index_t q) { return (x + q - 1) / q * q; };
-  auto& abuf = detail::pack_buffer<T>(0);
-  auto& bbuf = detail::pack_buffer<T>(1);
-  abuf.resize(static_cast<std::size_t>(round_up(std::min(bs.mc, m), MR)) *
-              bs.kc);
-  bbuf.resize(static_cast<std::size_t>(round_up(std::min(bs.nc, n), NR)) *
-              bs.kc);
+/// B = op(A) * B (side kLeft, A m x m) or B = B * op(A) (kRight, A n x n),
+/// A triangular, through the packed engine. The triangle is packed with
+/// explicit zeros outside it and 1 on a unit diagonal — the other triangle,
+/// and the stored diagonal under Diag::kUnit, are never read — and each
+/// micro-tile runs only over the band of the triangle it meets, so the
+/// executed flops are ~m^2 n (left), not the 2 m^2 n of a dense product.
+/// The product is computed out of place and written into B with beta = 0.
+/// When one k slice of the engine covers the triangle, B's packed panels
+/// are the out-of-place copy (each block of B is packed before the block of
+/// C that reads it is written); otherwise B is first copied into the
+/// thread's Workspace.
+template <typename T>
+void trmm_packed(Side side, UpLo uplo, Trans trans, Diag diag,
+                 ConstMatrixView<T> a, MatrixView<T> b,
+                 const Blocking& bs = default_blocking<T>()) {
+  static_assert(std::is_floating_point_v<T>,
+                "trmm_packed supports float/double");
+  const bool left = side == Side::kLeft;
+  const index_t m = b.rows, n = b.cols, k = left ? m : n;
+  TQR_REQUIRE(a.rows == k && a.cols == k,
+              "trmm_packed: A must be square and match B");
+  TQR_REQUIRE(bs.kc > 0 && bs.mc > 0 && bs.nc > 0,
+              "trmm_packed: blocking must be positive");
+  if (m == 0 || n == 0) return;
+  constexpr int MR = RegisterBlocking<T>::mr;
+  constexpr int NR = RegisterBlocking<T>::nr;
+  const bool lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
+  const bool unit = diag == Diag::kUnit;
+  const detail::Band band =
+      left ? (lower ? detail::Band::kRowsPrefix : detail::Band::kRowsSuffix)
+           : (lower ? detail::Band::kColsSuffix : detail::Band::kColsPrefix);
 
-  alignas(kMatrixAlignment) T acc[MR * NR];
-  for (index_t jc = 0; jc < n; jc += bs.nc) {
-    const index_t nc_eff = std::min(bs.nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += bs.kc) {
-      const index_t kc_eff = std::min(bs.kc, k - pc);
-      detail::pack_b<T>(bbuf.data(), b, tb, pc, jc, kc_eff, nc_eff);
-      const T beta_eff = (pc == 0) ? beta : T(1);
-      for (index_t ic = 0; ic < m; ic += bs.mc) {
-        const index_t mc_eff = std::min(bs.mc, m - ic);
-        detail::pack_a<T>(abuf.data(), a, ta, alpha, ic, pc, mc_eff, kc_eff);
-        for (index_t jr = 0; jr < nc_eff; jr += NR) {
-          const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
-          const T* bp = bbuf.data() + static_cast<std::size_t>(jr) * kc_eff;
-          for (index_t ir = 0; ir < mc_eff; ir += MR) {
-            const index_t mr_eff = std::min<index_t>(MR, mc_eff - ir);
-            detail::micro_kernel<T>(
-                kc_eff, abuf.data() + static_cast<std::size_t>(ir) * kc_eff,
-                bp, acc);
-            detail::write_back<T>(
-                acc,
-                c.data + static_cast<std::size_t>(jc + jr) * c.ld + (ic + ir),
-                c.ld, mr_eff, nr_eff, beta_eff);
-          }
-        }
-      }
-    }
+  // In place is safe when one k slice covers the triangle: each block of
+  // C is then written only after the panels of B it reads were packed. On
+  // the right, a row block of B is read by every column block of C, so
+  // those must be one block too.
+  Workspace::Frame frame;
+  ConstMatrixView<T> src = b;
+  if (k > bs.kc || (!left && n > bs.nc)) {
+    const MatrixView<T> copy_b = frame.matrix<T>(m, n);
+    copy<T>(b, copy_b);
+    src = copy_b;
+  }
+
+  if (left) {
+    detail::packed_loops<T>(
+        m, n, k,
+        [&](T* dst, index_t ic, index_t pc, index_t mc, index_t kc) {
+          for (index_t ir = 0; ir < mc; ir += MR)
+            detail::pack_tri_panel<T, MR>(
+                dst + static_cast<std::size_t>(ir) * kc, a, trans, lower, unit,
+                true, ic + ir, std::min<index_t>(MR, mc - ir), pc, kc);
+        },
+        [&](T* dst, index_t pc, index_t jc, index_t kc, index_t nc) {
+          detail::pack_b<T>(dst, src, Trans::kNoTrans, pc, jc, kc, nc);
+        },
+        band, T(0), b, bs);
+  } else {
+    detail::packed_loops<T>(
+        m, n, k,
+        [&](T* dst, index_t ic, index_t pc, index_t mc, index_t kc) {
+          detail::pack_a<T>(dst, src, Trans::kNoTrans, T(1), ic, pc, mc, kc);
+        },
+        [&](T* dst, index_t pc, index_t jc, index_t kc, index_t nc) {
+          for (index_t jr = 0; jr < nc; jr += NR)
+            detail::pack_tri_panel<T, NR>(
+                dst + static_cast<std::size_t>(jr) * kc, a, trans, lower, unit,
+                false, jc + jr, std::min<index_t>(NR, nc - jr), pc, kc);
+        },
+        band, T(0), b, bs);
   }
 }
 
@@ -344,6 +511,12 @@ extern template void gemm_packed<float>(Trans, Trans, float,
 extern template void gemm_packed<double>(Trans, Trans, double,
                                          ConstMatrixView<double>,
                                          ConstMatrixView<double>, double,
+                                         MatrixView<double>, const Blocking&);
+extern template void trmm_packed<float>(Side, UpLo, Trans, Diag,
+                                        ConstMatrixView<float>,
+                                        MatrixView<float>, const Blocking&);
+extern template void trmm_packed<double>(Side, UpLo, Trans, Diag,
+                                         ConstMatrixView<double>,
                                          MatrixView<double>, const Blocking&);
 
 #if TQR_MK_VECTORIZED

@@ -861,12 +861,13 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
 
   // Extract the caller-shaped R (leading block; identity padding keeps it
   // equal to R of the unpadded matrix). The verify tiers read R of the
-  // whole padded matrix.
+  // whole padded matrix, which is result.r itself when no column was padded.
   result.r = ws.a.upper_triangle(a.cols());
-  const la::Matrix<double> r_pad =
-      verify >= Verify::kScan || job.spec.compute_residual
+  const la::Matrix<double> r_padded =
+      pc != a.cols() && (verify >= Verify::kScan || job.spec.compute_residual)
           ? ws.a.upper_triangle(pc)
           : la::Matrix<double>();
+  const la::Matrix<double>& r_pad = pc == a.cols() ? result.r : r_padded;
 
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));

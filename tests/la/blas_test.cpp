@@ -438,5 +438,86 @@ TEST(TrsmRightDegenerate, IdentityOperatorAndZeroRhs) {
     for (index_t i = 0; i < 4; ++i) EXPECT_EQ(b(i, j), 0.0);
 }
 
+// trmm at the shapes the tile kernels use, on both dispatch paths: every
+// uplo/trans/diag, both sides, triangle orders across the base-case and
+// packing thresholds, on sub-views with ld > m. The unstored triangle — and,
+// under Diag::kUnit, the stored diagonal — holds NaN, so any read of it
+// shows; the reference is the dense product with the explicit triangle.
+template <typename T>
+void expect_trmm_matches_dense(Side side) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T eps = std::numeric_limits<T>::epsilon();
+  for (index_t m : {1, 7, 8, 31, 32, 33, 64, 127, 128, 200})
+    for (index_t n : {1, 4, 5, 128}) {
+      // B is m x n on the left, n x m on the right (m is the triangle).
+      const index_t br = side == Side::kLeft ? m : n;
+      const index_t bc = side == Side::kLeft ? n : m;
+      const auto abig = Matrix<T>::random(m + 3, m + 2, 81);
+      const auto bbig = Matrix<T>::random(br + 5, bc + 2, 82);
+      for (auto uplo : {UpLo::kUpper, UpLo::kLower})
+        for (auto trans : {Trans::kNoTrans, Trans::kTrans})
+          for (auto diag : {Diag::kUnit, Diag::kNonUnit}) {
+            Matrix<T> astore = abig;
+            const auto a = astore.view().block(2, 1, m, m);
+            Matrix<T> tri(m, m);
+            for (index_t j = 0; j < m; ++j)
+              for (index_t i = 0; i < m; ++i) {
+                const bool stored =
+                    (uplo == UpLo::kUpper) ? (i <= j) : (i >= j);
+                if (i == j && diag == Diag::kUnit) {
+                  tri(i, j) = T(1);
+                  a(i, j) = nan;
+                } else if (stored) {
+                  tri(i, j) = a(i, j);
+                } else {
+                  a(i, j) = nan;
+                }
+              }
+            Matrix<T> bstore = bbig;
+            const auto b = bstore.view().block(3, 1, br, bc);
+            Matrix<T> want(br, bc);
+            if (side == Side::kLeft) {
+              gemm_naive<T>(trans, Trans::kNoTrans, T(1), tri.view(), b, T(0),
+                            want.view());
+              trmm_left<T>(uplo, trans, diag, a, b);
+            } else {
+              gemm_naive<T>(Trans::kNoTrans, trans, T(1), b, tri.view(), T(0),
+                            want.view());
+              trmm_right<T>(uplo, trans, diag, a, b);
+            }
+            // Each entry sums at most m products of magnitude <= 1.
+            const T tol = T(2) * eps * T(m) * T(m);
+            for (index_t j = 0; j < bc; ++j)
+              for (index_t i = 0; i < br; ++i)
+                ASSERT_NEAR(b(i, j), want(i, j), tol)
+                    << "m=" << m << " n=" << n << " uplo=" << int(uplo)
+                    << " trans=" << int(trans) << " diag=" << int(diag)
+                    << " at (" << i << "," << j << ")";
+            for (index_t j = 0; j < bstore.cols(); ++j)
+              for (index_t i = 0; i < bstore.rows(); ++i) {
+                const bool inside =
+                    i >= 3 && i < 3 + br && j >= 1 && j < 1 + bc;
+                if (!inside) ASSERT_EQ(bstore(i, j), bbig(i, j));
+              }
+          }
+    }
+}
+
+TEST(TrmmShapes, LeftMatchesDenseProductDouble) {
+  expect_trmm_matches_dense<double>(Side::kLeft);
+}
+
+TEST(TrmmShapes, LeftMatchesDenseProductFloat) {
+  expect_trmm_matches_dense<float>(Side::kLeft);
+}
+
+TEST(TrmmShapes, RightMatchesDenseProductDouble) {
+  expect_trmm_matches_dense<double>(Side::kRight);
+}
+
+TEST(TrmmShapes, RightMatchesDenseProductFloat) {
+  expect_trmm_matches_dense<float>(Side::kRight);
+}
+
 }  // namespace
 }  // namespace tqr::la

@@ -206,5 +206,51 @@ TEST(Microkernel, PackedBuffersAreAligned) {
   EXPECT_TRUE(is_matrix_aligned(v.data()));
 }
 
+TEST(TrmmPacked, ShrunkenBlockingCoversEveryLoop) {
+  // Blockings far below the operand sizes run every cache-blocking loop of
+  // trmm_packed. With kc < k the multiply goes through the workspace copy
+  // and the bands cut across slice boundaries; with one k slice it runs in
+  // place over several row and column blocks (the right side still copies,
+  // as its k exceeds nc).
+  const index_t k = 37, other = 29;
+  for (const mk::Blocking bs : {mk::Blocking{13, 2 * kMr + 3, 2 * kNr + 1},
+                                mk::Blocking{64, 2 * kMr + 3, 2 * kNr + 1}}) {
+    for (auto side : {Side::kLeft, Side::kRight})
+      for (auto uplo : {UpLo::kUpper, UpLo::kLower})
+        for (auto trans : {Trans::kNoTrans, Trans::kTrans})
+          for (auto diag : {Diag::kUnit, Diag::kNonUnit}) {
+            auto a = Matrix<double>::random(k, k, 91);
+            Matrix<double> tri(k, k);
+            for (index_t j = 0; j < k; ++j)
+              for (index_t i = 0; i < k; ++i) {
+                const bool stored =
+                    (uplo == UpLo::kUpper) ? (i <= j) : (i >= j);
+                if (i == j && diag == Diag::kUnit) tri(i, j) = 1.0;
+                else if (stored) tri(i, j) = a(i, j);
+                if (!stored || (i == j && diag == Diag::kUnit))
+                  a(i, j) = std::numeric_limits<double>::quiet_NaN();
+              }
+            const bool left = side == Side::kLeft;
+            const auto b0 = left ? Matrix<double>::random(k, other, 92)
+                                 : Matrix<double>::random(other, k, 92);
+            Matrix<double> b = b0;
+            mk::trmm_packed<double>(side, uplo, trans, diag, a.view(), b.view(),
+                                    bs);
+            const auto ref =
+                left ? reference_gemm(trans, Trans::kNoTrans, 1.0, tri.view(),
+                                      b0.view(), 0.0, b0.view())
+                     : reference_gemm(Trans::kNoTrans, trans, 1.0, b0.view(),
+                                      tri.view(), 0.0, b0.view());
+            for (index_t j = 0; j < b.cols(); ++j)
+              for (index_t i = 0; i < b.rows(); ++i)
+                ASSERT_NEAR(b(i, j), ref(i, j), tol_for(k))
+                    << "kc=" << bs.kc << " side=" << int(side)
+                    << " uplo=" << int(uplo)
+                    << " trans=" << int(trans) << " diag=" << int(diag)
+                    << " at (" << i << "," << j << ")";
+          }
+  }
+}
+
 }  // namespace
 }  // namespace tqr::la
