@@ -401,15 +401,18 @@ std::vector<std::pair<int, double>> bench_e2e_factor(
 
 /// GFLOP/s of one warm n x n job through a QrService at its defaults,
 /// submit to resolved future, best of 3 after one warm-up job: the service
-/// rung of the ladder, to set against bench_e2e_factor's native rate.
+/// rung of the ladder, to set against bench_e2e_factor's native rate. Each
+/// rep's spec is built before the clock starts, so the caller-side copy of
+/// the input is not timed.
 double bench_e2e_serve(la::index_t n) {
   svc::QrService service;
-  svc::JobSpec spec;
-  spec.a = Matrix<double>::random(n, n, 44);
+  const auto a = Matrix<double>::random(n, n, 44);
   double best = 0;
   for (int rep = 0; rep < 4; ++rep) {
+    svc::JobSpec spec;
+    spec.a = a;
     Timer t;
-    const svc::JobResult r = service.submit(spec).get();
+    const svc::JobResult r = service.submit(std::move(spec)).get();
     const double s = t.seconds();
     if (r.status != svc::JobStatus::kOk) {
       std::fprintf(stderr, "e2e serve job failed: %s\n", r.error.c_str());
@@ -430,6 +433,12 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
   const auto e2e1024 = bench_e2e_factor(1024, {1, 2, 4}, min_s, ib);
   const auto e2e2048 = bench_e2e_factor(2048, {4}, min_s, ib);
   const double serve2048 = bench_e2e_serve(2048);
+  // The service's share of the native rate from this same run (ROADMAP
+  // aim 1, L3); printed beside the JSON, not gated.
+  std::fprintf(stderr, "e2e.serve.n2048 / e2e.factor.n2048.w4 = %.3f\n",
+               e2e2048.front().second > 0
+                   ? serve2048 / e2e2048.front().second
+                   : 0.0);
 
   double naive256 = 0, packed256 = 0;
   for (const auto& r : results) {

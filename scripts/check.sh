@@ -169,7 +169,9 @@ timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_cluster"
 echo "== test_batched (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_batched"
 # The parallel factorization (TiledQrFactorization/TiledCholesky with
-# workers > 1) runs the work-stealing executor from these suites.
+# workers > 1) runs the work-stealing executor from these suites, and the
+# R sink stores R from whichever worker finishes each tile (test_svc covers
+# the service's plane pool the same way).
 echo "== test_core (TSan) =="
 timeout "$TEST_TIMEOUT" "$BUILD_DIR/tests/test_core"
 echo "== test_integration (TSan) =="

@@ -1,6 +1,7 @@
 #include "core/tiled_qr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -68,19 +69,27 @@ QrPlanes<T>::QrPlanes(la::index_t rows, la::index_t cols, la::index_t b,
 template <typename T, typename S>
 QrTaskRunner<T, S>::QrTaskRunner(const dag::TaskGraph& graph,
                                  la::ConstMatrixView<S> src,
-                                 QrPlanes<T> planes, la::index_t inner_block)
+                                 QrPlanes<T> planes, la::index_t inner_block,
+                                 la::MatrixView<S> r)
     : graph_(graph),
       src_(src),
       planes_(std::move(planes)),
       inner_block_(inner_block),
-      loads_(graph.size(), 0) {
+      r_(r),
+      roles_(graph.size()) {
   const la::TiledMatrix<T>& a = planes_.a;
   TQR_REQUIRE(src.rows <= a.rows() && src.cols <= a.cols() &&
                   a.rows() - src.rows < a.tile_size() &&
                   a.cols() - src.cols < a.tile_size(),
               "QrTaskRunner: planes are not the padded shape of the input");
-  std::vector<bool> touched(
-      static_cast<std::size_t>(a.tile_rows()) * a.tile_cols(), false);
+  TQR_REQUIRE(r.rows == r.cols && r.cols <= a.cols(),
+              "QrTaskRunner: the R sink is not a leading square of R");
+  const std::size_t tiles =
+      static_cast<std::size_t>(a.tile_rows()) * a.tile_cols();
+  std::vector<bool> touched(tiles, false);
+  // The last writer so far of each R-block tile: task and access index.
+  std::vector<std::pair<std::size_t, int>> last_writer(
+      r.cols > 0 ? tiles : 0, {graph.size(), 0});
   for (std::size_t t = 0; t < graph.size(); ++t) {
     dag::TileAccess acc[5];
     const int n_acc = dag::tile_accesses(graph.tasks()[t], acc);
@@ -88,16 +97,21 @@ QrTaskRunner<T, S>::QrTaskRunner(const dag::TaskGraph& graph,
       if (acc[idx].plane != dag::Plane::kA) continue;
       const std::size_t tile =
           static_cast<std::size_t>(acc[idx].j) * a.tile_rows() + acc[idx].i;
+      if (!last_writer.empty() && acc[idx].write && acc[idx].i <= acc[idx].j)
+        last_writer[tile] = {t, idx};
       if (touched[tile]) continue;
       touched[tile] = true;
-      loads_[t] = static_cast<std::uint8_t>(loads_[t] | (1u << idx));
+      roles_[t].load |= static_cast<std::uint8_t>(1u << idx);
     }
   }
+  for (const auto& [t, idx] : last_writer)
+    if (t < graph.size())
+      roles_[t].store |= static_cast<std::uint8_t>(1u << idx);
 }
 
 template <typename T, typename S>
-void QrTaskRunner<T, S>::operator()(dag::task_id t, const dag::Task& task) {
-  if (const unsigned loads = loads_[static_cast<std::size_t>(t)]) {
+void QrTaskRunner<T, S>::run(dag::task_id t, const dag::Task& task) {
+  if (const unsigned loads = roles_[static_cast<std::size_t>(t)].load) {
     dag::TileAccess acc[5];
     const int n_acc = dag::tile_accesses(task, acc);
     for (int idx = 0; idx < n_acc; ++idx)
@@ -105,6 +119,17 @@ void QrTaskRunner<T, S>::operator()(dag::task_id t, const dag::Task& task) {
         planes_.a.load_tile(acc[idx].i, acc[idx].j, src_);
   }
   execute_task<T>(task, planes_, inner_block_);
+}
+
+template <typename T, typename S>
+void QrTaskRunner<T, S>::store_r(dag::task_id t, const dag::Task& task) {
+  if (const unsigned stores = roles_[static_cast<std::size_t>(t)].store) {
+    dag::TileAccess acc[5];
+    const int n_acc = dag::tile_accesses(task, acc);
+    for (int idx = 0; idx < n_acc; ++idx)
+      if (stores & (1u << idx))
+        planes_.a.store_upper_tile(acc[idx].i, acc[idx].j, r_);
+  }
 }
 
 template <typename T, typename S>

@@ -64,17 +64,39 @@ struct QrPlanes {
 /// la::pad_to_tiles beyond src. Every other access to the tile is a graph
 /// successor of the first toucher, so loading there is race-free and the
 /// first kernel starts as soon as its own tiles are in.
+///
+/// The optional R sink mirrors the loads: each A tile of the R block
+/// (tile row <= tile column) is stored into it by its last writer in graph
+/// order, right after that task's kernel, widened to S. Every other writer
+/// of the tile precedes the last one in the graph and the sink parts of
+/// different tiles are disjoint, so the stores run in parallel race-free and
+/// R is complete when the last task finishes.
 template <typename T, typename S = T>
 class QrTaskRunner {
  public:
   /// `graph` and `src` must outlive the runner; `planes` has the padded
-  /// shape of src at the graph's tile grid.
+  /// shape of src at the graph's tile grid. `r`, when not empty, is the R
+  /// sink: an n x n column-major view with n <= planes.a.cols() that
+  /// receives the leading n x n block of R, zeros below the diagonal
+  /// included; it need not be initialized and must outlive the run.
   QrTaskRunner(const dag::TaskGraph& graph, la::ConstMatrixView<S> src,
-               QrPlanes<T> planes, la::index_t inner_block);
+               QrPlanes<T> planes, la::index_t inner_block,
+               la::MatrixView<S> r = {});
 
   /// Loads the A tiles task t touches first, then runs its kernel. Safe to
   /// call concurrently for tasks the graph leaves unordered.
-  void operator()(dag::task_id t, const dag::Task& task);
+  void run(dag::task_id t, const dag::Task& task);
+
+  /// Stores into the R sink the A tiles of the R block that task t writes
+  /// last; a no-op without a sink. Call after run(t, task) and before any
+  /// successor of t runs.
+  void store_r(dag::task_id t, const dag::Task& task);
+
+  /// run() then store_r().
+  void operator()(dag::task_id t, const dag::Task& task) {
+    run(t, task);
+    store_r(t, task);
+  }
 
   /// Runs every task — in graph order when workers <= 1, else on a
   /// transient DagExecutor recording into `trace` — and returns the
@@ -88,9 +110,14 @@ class QrTaskRunner {
   la::ConstMatrixView<S> src_;
   QrPlanes<T> planes_;
   la::index_t inner_block_;
-  // Per task, a bit per dag::tile_accesses entry that first touches an A
-  // tile.
-  std::vector<std::uint8_t> loads_;
+  la::MatrixView<S> r_;
+  // Per task, a bit per dag::tile_accesses entry: `load` for an A tile the
+  // task touches first, `store` for an R-block tile it writes last (only
+  // with a sink).
+  struct TileRoles {
+    std::uint8_t load = 0, store = 0;
+  };
+  std::vector<TileRoles> roles_;
 };
 
 /// Applies Q (kNoTrans) or Q^T (kTrans) of a completed tiled factorization

@@ -63,9 +63,9 @@ struct AlignedAllocator {
 
 /// AlignedAllocator whose value-less construct default-initializes, so
 /// resize() on a vector of a trivially constructible T leaves the new
-/// elements unwritten and their pages unfaulted until first use. Only
-/// TiledMatrix's unfilled planes use it; every other AlignedVector keeps the
-/// zeroing std::vector semantics.
+/// elements unwritten and their pages unfaulted until first use. Only the
+/// Unfilled constructors of Matrix and TiledMatrix rely on it; every
+/// AlignedVector keeps the zeroing std::vector semantics.
 template <typename T>
 struct UnfilledAlignedAllocator : AlignedAllocator<T> {
   UnfilledAlignedAllocator() = default;

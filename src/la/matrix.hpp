@@ -122,6 +122,16 @@ class Matrix {
   Matrix(index_t rows, index_t cols)
       : rows_(rows), cols_(cols), data_(checked_extent(rows, cols), T(0)) {}
 
+  /// Tag for the constructor that leaves the elements unwritten.
+  struct Unfilled {};
+
+  /// rows x cols matrix whose elements are allocated but not written, so
+  /// each page is faulted in by whichever thread first writes it. Reading
+  /// an element before writing it is a bug.
+  Matrix(index_t rows, index_t cols, Unfilled) : rows_(rows), cols_(cols) {
+    data_.resize(checked_extent(rows, cols));
+  }
+
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
 
@@ -173,7 +183,8 @@ class Matrix {
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  AlignedVector<T> data_;
+  // resize() leaves elements unwritten; the zeroing constructor fills.
+  std::vector<T, UnfilledAlignedAllocator<T>> data_;
 };
 
 /// Copies src into dst (shapes must match).

@@ -97,17 +97,33 @@ class TiledMatrix {
     }
   }
 
+  /// Writes the part of tile (i, j), i <= j, that lies in the leading
+  /// r.cols x r.cols upper triangle into the square column-major `r`,
+  /// converting T to S: a column copy down to the diagonal, and for a
+  /// diagonal tile also the zeros below the diagonal in each of its columns,
+  /// down to the last row of r. Storing every tile i <= j writes all of r.
+  template <typename S>
+  void store_upper_tile(index_t i, index_t j, MatrixView<S> r) const {
+    TQR_ASSERT(i <= j && r.rows == r.cols && r.cols <= cols_,
+               "store_upper_tile: tile or sink outside the upper triangle");
+    const T* tile = tile_data(i, j);
+    const index_t r0 = i * b_;
+    for (index_t jj = 0; jj < b_ && j * b_ + jj < r.cols; ++jj, tile += b_) {
+      const index_t c = j * b_ + jj;
+      S* col = &r(0, c);
+      std::copy_n(tile, std::min(b_, c + 1 - r0), col + r0);
+      if (i == j) std::fill(col + c + 1, col + r.rows, S(0));
+    }
+  }
+
   /// The leading n x n upper triangle as a dense matrix (zero below the
   /// diagonal), copied tile by tile one column segment at a time.
   Matrix<T> upper_triangle(index_t n) const {
     TQR_REQUIRE(n >= 0 && n <= rows_ && n <= cols_,
                 "upper_triangle: order exceeds the matrix");
-    Matrix<T> r(n, n);
-    for (index_t j = 0; j < n; ++j)
-      for (index_t r0 = 0; r0 <= j; r0 += b_)
-        std::copy_n(tile_data(r0 / b_, j / b_) +
-                        static_cast<std::size_t>(j % b_) * b_,
-                    std::min(b_, j + 1 - r0), &r(r0, j));
+    Matrix<T> r(n, n, typename Matrix<T>::Unfilled{});
+    for (index_t j = 0; j * b_ < n; ++j)
+      for (index_t i = 0; i <= j; ++i) store_upper_tile(i, j, r.view());
     return r;
   }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "common/error.hpp"
 #include "core/batched_qr.hpp"
@@ -135,6 +137,8 @@ QrService::Metrics::Metrics(obs::Registry& r)
       batched_jobs(r.counter("svc.batched_jobs")),
       batched_problems(r.counter("svc.batched_problems")),
       batch_occupancy(r.gauge("exec.batch_occupancy")),
+      planes_allocated(r.counter("workspace.allocated")),
+      planes_reused(r.counter("workspace.reused")),
       // 10 us .. 2 min covers a one-tile job through a deadline-length
       // stall; doubling edges give ~12% worst-case interpolation error.
       job_s(r.histogram("job.latency_s",
@@ -150,11 +154,29 @@ QrService::Metrics::Metrics(obs::Registry& r)
 /// that runs alone gets all of them. Without it each job builds a transient
 /// all-core engine, reproducing the seed's per-run cost for baseline
 /// comparisons.
+///
+/// With reuse_engines the engine also keeps the tile planes of finished kOk
+/// attempts, at most one set per lane, so the next job of the same shape
+/// runs on pages already faulted in (~50 MB at 2048^2) rather than fresh
+/// ones. Why no byte of a pooled set is ever read: see run_attempt.
 struct QrService::Engine {
   runtime::DagExecutor::Options options;
   std::unique_ptr<runtime::DagExecutor> resident;
 
-  Engine(runtime::ExecCounters* counters, bool reuse) {
+  /// What a plane set fits: planes are reused only for an exact match.
+  struct PlaneKey {
+    la::index_t rows = 0, cols = 0, b = 0;
+    dag::Elimination elim = dag::Elimination::kTs;
+    Precision precision = Precision::kFp64;
+    bool operator==(const PlaneKey&) const = default;
+  };
+  using Planes = std::variant<core::QrPlanes<float>, core::QrPlanes<double>>;
+
+  Engine(runtime::ExecCounters* counters, bool reuse, int lanes,
+         obs::Counter& allocated, obs::Counter& reused)
+      : pool_capacity(reuse ? static_cast<std::size_t>(lanes) : 0),
+        planes_allocated(allocated),
+        planes_reused(reused) {
     options.workers =
         std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
     options.counters = counters;
@@ -170,6 +192,50 @@ struct QrService::Engine {
     runtime::DagExecutor fresh(options);
     return fresh.execute(graph, kernel, trace, cancel, post_task);
   }
+
+  /// A pooled plane set that fits `key`, else a new unfilled one.
+  template <typename T>
+  core::QrPlanes<T> take_planes(const PlaneKey& key) {
+    {
+      std::lock_guard<std::mutex> lock(pool_mutex);
+      for (auto it = pool.begin(); it != pool.end(); ++it) {
+        if (!(it->first == key)) continue;
+        core::QrPlanes<T> planes =
+            std::get<core::QrPlanes<T>>(std::move(it->second));
+        pool.erase(it);
+        planes_reused.inc();
+        return planes;
+      }
+    }
+    planes_allocated.inc();
+    return core::QrPlanes<T>(key.rows, key.cols, key.b, key.elim);
+  }
+
+  /// Pools the planes of a kOk attempt, evicting the oldest set past the
+  /// capacity; without reuse_engines they are freed.
+  template <typename T>
+  void give_back(const PlaneKey& key, core::QrPlanes<T> planes) {
+    if (pool_capacity == 0) return;
+    std::optional<Planes> evicted;  // freed after the lock is released
+    std::lock_guard<std::mutex> lock(pool_mutex);
+    pool.emplace_back(key, std::move(planes));
+    if (pool.size() > pool_capacity) {
+      evicted.emplace(std::move(pool.front().second));
+      pool.pop_front();
+    }
+  }
+
+  std::size_t pooled() const {
+    std::lock_guard<std::mutex> lock(pool_mutex);
+    return pool.size();
+  }
+
+ private:
+  const std::size_t pool_capacity;  // lanes with reuse_engines, else 0
+  obs::Counter& planes_allocated;
+  obs::Counter& planes_reused;
+  mutable std::mutex pool_mutex;
+  std::deque<std::pair<PlaneKey, Planes>> pool;  // oldest first
 };
 
 /// Per-job cancellation handle. The token is what the executor and the
@@ -206,8 +272,9 @@ QrService::QrService(const ServiceConfig& config)
       plan_cache_(config.plan_cache_capacity),
       metrics_(registry_),
       exec_counters_(std::make_unique<runtime::ExecCounters>()),
-      engine_(std::make_unique<Engine>(exec_counters_.get(),
-                                       config.reuse_engines)) {
+      engine_(std::make_unique<Engine>(
+          exec_counters_.get(), config.reuse_engines, config.lanes,
+          metrics_.planes_allocated, metrics_.planes_reused)) {
   TQR_REQUIRE(config.lanes > 0, "service needs at least one lane");
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
@@ -402,7 +469,7 @@ void QrService::lane_main(int lane) {
     }
     control->picked.store(true, std::memory_order_relaxed);
     std::promise<JobResult> promise = std::move(job->promise);
-    JobResult result = process(lane, std::move(*job), *control);
+    JobResult result = process(lane, *job, *control);
     const JobStatus status = result.status;
     const double total_s = result.total_s;
     // Status counters and latency update BEFORE the promise resolves, so a
@@ -487,7 +554,8 @@ void QrService::update_lane_health_locked(int lane, JobStatus status) {
                     clock_.seconds());
 }
 
-JobResult QrService::process(int lane, PendingJob job, JobControl& control) {
+JobResult QrService::process(int lane, const PendingJob& job,
+                             JobControl& control) {
   JobResult result;
   result.id = job.id;
   result.tag = job.spec.tag;
@@ -682,34 +750,41 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
                 &result.plan_cache_hit)
           : std::make_shared<const dag::TaskGraph>(build());
 
-  // Tile storage of this attempt alone: allocated here, unfilled, and freed
-  // on every exit (success, injected fault, or a cancellation unwinding
-  // through execute()), so a failed attempt's half-written or poisoned
-  // factors can never reach a later job or this job's retry. The runner
-  // loads each tile of the caller's matrix (plus the identity pad) at its
-  // first touch inside the graph. fp32 jobs factor into float planes — the
-  // runner narrows as it loads — that are widened into fp64 ones after
-  // execution. float -> double is exact, so every downstream consumer — R
-  // extraction, the verification replays — sees precisely the reflectors
-  // the fp32 kernels wrote, just applied in fp64 arithmetic.
+  // Tile planes: a set the engine kept from an earlier kOk job of this exact
+  // shape, else fresh unfilled ones. Either way nothing a kernel reads is
+  // left over: the runner loads each tile of the caller's matrix (plus the
+  // identity pad) at its first touch inside the graph, and every reflector
+  // tile read is one this graph wrote. The planes go back to the engine only
+  // when the attempt succeeds; a failed, corrupt or cancelled attempt frees
+  // them as it unwinds, so they never reach a later job or this job's retry.
+  // fp32 jobs factor into float planes — the runner narrows as it loads.
+  //
+  // The runner also stores R into `r` as the tasks that finish each tile
+  // run, widening fp32 on the way. `r` is the caller-shaped result unless
+  // padding means the verify tiers need R of the whole padded matrix; then
+  // it is pc x pc and result.r is its leading block.
+  const Verify verify = job.spec.verify;
+  const la::index_t rn =
+      verify >= Verify::kScan || job.spec.compute_residual ? pc : a.cols();
+  la::Matrix<double> r(rn, rn, la::Matrix<double>::Unfilled{});
   const la::index_t ib = config_.inner_block;
+  const Engine::PlaneKey key{pr, pc, b, job.spec.elim, job.spec.precision};
   std::optional<core::QrTaskRunner<double, double>> run64;
   std::optional<core::QrTaskRunner<float, double>> run32;
   if (fp32)
-    run32.emplace(*graph, a.view(),
-                  core::QrPlanes<float>(pr, pc, b, job.spec.elim), ib);
+    run32.emplace(*graph, a.view(), engine_->take_planes<float>(key), ib,
+                  r.view());
   else
-    run64.emplace(*graph, a.view(),
-                  core::QrPlanes<double>(pr, pc, b, job.spec.elim), ib);
-  // Calls fn with the planes the kernels write.
-  auto with_planes = [&run32, &run64](auto&& fn) {
+    run64.emplace(*graph, a.view(), engine_->take_planes<double>(key), ib,
+                  r.view());
+  // Calls fn with the runner of this attempt's precision.
+  auto with_runner = [&run32, &run64](auto&& fn) {
     if (run32)
-      fn(run32->planes());
+      fn(*run32);
     else
-      fn(run64->planes());
+      fn(*run64);
   };
 
-  const Verify verify = job.spec.verify;
   // Tier-1 baseline: orthogonal transforms preserve column 2-norms, so each
   // column of R must reproduce the matching column norm of the padded input:
   // the caller's column, or 1 for a pad column that carries an identity
@@ -749,15 +824,16 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
   // the bad tile. Cost: O(b^2) per written tile, a few percent of the O(b^3)
   // kernel it follows.
   const runtime::DagExecutor::Kernel scan_written_tiles =
-      [&with_planes](dag::task_id t, const dag::Task& task, int) {
+      [&with_runner](dag::task_id t, const dag::Task& task, int) {
         dag::TileAccess acc[5];
         const int n_acc = dag::tile_accesses(task, acc);
         for (int idx = 0; idx < n_acc; ++idx) {
           if (!acc[idx].write) continue;
           bool ok = true;
-          with_planes([&](const auto& planes) {
-            ok = la::all_finite(
-                planes.plane(acc[idx].plane).tile(acc[idx].i, acc[idx].j));
+          with_runner([&](auto& run) {
+            ok = la::all_finite(std::as_const(run.planes())
+                                    .plane(acc[idx].plane)
+                                    .tile(acc[idx].i, acc[idx].j));
           });
           if (!ok)
             throw VerificationError(
@@ -775,9 +851,8 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
   Timer exec_clock;
   engine_->execute(
       *graph,
-      [this, &run32, &run64, &with_planes, &control, picked_up_s,
-       deadline_s, lane, corrupting](dag::task_id t, const dag::Task& task,
-                                     int) {
+      [this, &with_runner, &control, picked_up_s, deadline_s, lane,
+       corrupting](dag::task_id t, const dag::Task& task, int) {
         auto past_deadline = [&] {
           return deadline_s > 0 &&
                  clock_.seconds() - picked_up_s > deadline_s;
@@ -804,10 +879,7 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
           throw Error("node down: injected crash at " + dag::to_string(task));
         }
         const double task_start_s = clock_.seconds();
-        if (run32)
-          (*run32)(t, task);
-        else
-          (*run64)(t, task);
+        with_runner([&](auto& run) { run.run(t, task); });
         const double brown =
             node_fault_ ? node_fault_->stall_factor(clock_.seconds()) : 1.0;
         if (brown > 1.0) {
@@ -838,36 +910,37 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
           const int n_acc = dag::tile_accesses(task, acc);
           for (int idx = 0; idx < n_acc; ++idx) {
             if (acc[idx].plane == dag::Plane::kA && acc[idx].write) {
-              with_planes([&](auto& planes) {
+              with_runner([&](auto& run) {
                 fault_->maybe_corrupt(t, task, lane,
-                                      planes.a.tile(acc[idx].i, acc[idx].j));
+                                      run.planes().a.tile(acc[idx].i,
+                                                          acc[idx].j));
               });
               break;
             }
           }
         }
+        // R leaves the tiles last, after any injected corruption, so it
+        // holds exactly what the tiles hold and the verify tiers see it.
+        with_runner([&](auto& run) { run.store_r(t, task); });
       },
       trace_ ? &task_trace : nullptr, &control.token,
       verify >= Verify::kScan ? &scan_written_tiles : nullptr);
   result.exec_s = exec_clock.seconds();
   metrics_.exec_s.observe(result.exec_s);
-  const core::QrPlanes<double> ws =
-      run32 ? core::widen(run32->planes(), *graph)
-            : std::move(run64->planes());
   if (trace_)
     obs::append_task_events(*trace_, task_trace.events(), *graph, b,
                             lane_pid(lane), exec_start_s,
                             static_cast<int>(ib));
-
-  // Extract the caller-shaped R (leading block; identity padding keeps it
-  // equal to R of the unpadded matrix). The verify tiers read R of the
-  // whole padded matrix, which is result.r itself when no column was padded.
-  result.r = ws.a.upper_triangle(a.cols());
-  const la::Matrix<double> r_padded =
-      pc != a.cols() && (verify >= Verify::kScan || job.spec.compute_residual)
-          ? ws.a.upper_triangle(pc)
-          : la::Matrix<double>();
-  const la::Matrix<double>& r_pad = pc == a.cols() ? result.r : r_padded;
+  // The verify tiers read `r`, R of the whole padded matrix (see above).
+  // The Q replays run on fp64 planes; fp32 ones are widened for them only
+  // (float -> double is exact, so the replays see precisely the reflectors
+  // the fp32 kernels wrote, applied in fp64 arithmetic).
+  std::optional<core::QrPlanes<double>> wide;
+  if (run32 && (verify >= Verify::kProbe || job.spec.compute_residual))
+    wide = core::widen(run32->planes(), *graph);
+  auto replay_planes = [&]() -> const core::QrPlanes<double>& {
+    return wide ? *wide : run64->planes();
+  };
 
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));
@@ -880,7 +953,7 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     double worst = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       double col2 = 0;
-      for (la::index_t i = 0; i <= j; ++i) col2 += r_pad(i, j) * r_pad(i, j);
+      for (la::index_t i = 0; i <= j; ++i) col2 += r(i, j) * r(i, j);
       worst = std::max(
           worst,
           std::abs(std::sqrt(col2) - col_norm[static_cast<std::size_t>(j)]));
@@ -906,10 +979,11 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     la::Matrix<double> z(pr, 1);
     for (la::index_t i = 0; i < pc; ++i) {
       double s = 0;
-      for (la::index_t j = i; j < pc; ++j) s += r_pad(i, j) * x(j, 0);
+      for (la::index_t j = i; j < pc; ++j) s += r(i, j) * x(j, 0);
       z(i, 0) = s;
     }
-    core::apply_q_tiles<double>(*graph, ws, z.view(), la::Trans::kNoTrans);
+    core::apply_q_tiles<double>(*graph, replay_planes(), z.view(),
+                                la::Trans::kNoTrans);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
       double s = 0;
@@ -929,8 +1003,9 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
     // ||A - Q R||_F / ||A||_F over the padded matrix: build [R; 0],
     // apply Q by replaying the factor tasks, subtract A.
     la::Matrix<double> qr(pr, pc);
-    la::copy<double>(r_pad.view(), qr.block(0, 0, pc, pc));
-    core::apply_q_tiles<double>(*graph, ws, qr.view(), la::Trans::kNoTrans);
+    la::copy<double>(r.view(), qr.block(0, 0, pc, pc));
+    core::apply_q_tiles<double>(*graph, replay_planes(), qr.view(),
+                                la::Trans::kNoTrans);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {
@@ -953,6 +1028,19 @@ void QrService::run_attempt(const PendingJob& job, double picked_up_s,
                                 sci(tol));
     }
   }
+
+  // The attempt succeeded: hand out the caller-shaped R (the leading block;
+  // identity padding keeps it equal to R of the unpadded matrix), and return
+  // the planes to the engine before the job's future resolves.
+  if (rn == a.cols()) {
+    result.r = std::move(r);
+  } else {
+    result.r = la::Matrix<double>(a.cols(), a.cols(),
+                                  la::Matrix<double>::Unfilled{});
+    la::copy<double>(r.block(0, 0, a.cols(), a.cols()), result.r.view());
+  }
+  with_runner(
+      [&](auto& run) { engine_->give_back(key, std::move(run.planes())); });
 }
 
 void QrService::run_batch(const PendingJob& job, double picked_up_s,
@@ -1281,6 +1369,7 @@ obs::Registry::Snapshot QrService::metrics() const {
   s.gauges["queue.high_water"] = static_cast<double>(st.queue.high_water);
   s.gauges["plan_cache.size"] = static_cast<double>(st.plan_cache.size);
   s.gauges["plan_cache.hit_rate"] = st.plan_cache.hit_rate();
+  s.gauges["workspace.pooled"] = static_cast<double>(engine_->pooled());
   if (trace_) {
     s.gauges["trace.events"] = static_cast<double>(trace_->size());
     s.gauges["trace.dropped"] = static_cast<double>(trace_->dropped());

@@ -14,8 +14,10 @@
 //                   ├─ PlanCache: (shape, tile, elim, ib) -> dag::TaskGraph;
 //                   │    repeat shapes skip graph construction (LRU,
 //                   │    hit/miss counters)
-//                   └─ execute against tile planes the attempt allocates
-//                        and frees itself
+//                   └─ execute against tile planes: a set a finished kOk
+//                        job of the same shape left in the engine's pool
+//                        (at most one per lane), else fresh unfilled ones;
+//                        the workers store R as they finish its tiles
 //                             │
 //                             ▼
 //   one resident runtime::DagExecutor: hardware_concurrency work-stealing
@@ -33,7 +35,10 @@
 // residual, or full reconstruction — see svc::Verify); a detection fails the
 // attempt with tqr::VerificationError, which is retryable, and exhausts to
 // JobStatus::kCorrupted rather than ever returning silently-wrong factors.
-// Every attempt factors into storage of its own, so a failed or corrupt
+// No byte of an earlier job is ever read: an attempt's planes are pooled
+// only when it succeeds (a failed, corrupt or cancelled attempt frees them),
+// and a job that reuses a pooled set rewrites every A tile at its first
+// touch and reads only the reflector tiles its own graph wrote. So a bad
 // attempt's tiles can never reach a later job (or this job's retry).
 // A per-lane circuit breaker (quarantine_after / probation_s) takes lanes
 // that keep producing bad jobs out of rotation while the shared queue
@@ -77,9 +82,12 @@ struct ServiceConfig {
   /// baseline).
   bool plan_cache_enabled = true;
 
-  /// Keep the service's DagExecutor resident across jobs. Disable to pay
-  /// the seed's per-job thread-group spawn/teardown: each job then builds a
-  /// transient all-core engine (cold baseline).
+  /// Keep the service's DagExecutor resident across jobs, and with it the
+  /// tile planes of finished kOk jobs (at most `lanes` sets, reused by the
+  /// next job of exactly the same shape, tile, elimination and precision).
+  /// Disable for the cold per-job baseline: each job then builds a
+  /// transient all-core engine and allocates, faults in and frees its own
+  /// planes.
   bool reuse_engines = true;
 
   /// Inner blocking width passed to the tile kernels (0 = unblocked).
@@ -218,7 +226,7 @@ class QrService {
   std::future<JobResult> resolve_at_door(const JobSpec& spec,
                                          JobStatus status, std::string error,
                                          std::uint64_t* id_out);
-  JobResult process(int lane, PendingJob job, JobControl& control);
+  JobResult process(int lane, const PendingJob& job, JobControl& control);
   void run_attempt(const PendingJob& job, double picked_up_s,
                    JobControl& control, JobResult& result);
   /// Batched jobs (JobSpec::batch): factors the whole batch through the
@@ -256,6 +264,8 @@ class QrService {
     obs::Counter& batched_jobs;      // whole batches processed
     obs::Counter& batched_problems;  // batch members with a valid R
     obs::Gauge& batch_occupancy;     // lane fill of the latest batch
+    obs::Counter& planes_allocated;  // attempts that allocated tile planes
+    obs::Counter& planes_reused;     // attempts that reused pooled planes
     obs::Histogram& job_s;    // submit -> resolve, kOk jobs
     obs::Histogram& queue_s;  // submit -> lane pickup, all popped jobs
     obs::Histogram& exec_s;   // executor time per successful attempt

@@ -8,6 +8,8 @@
 
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dag/task_accesses.hpp"
 #include "la/reference_qr.hpp"
@@ -305,6 +307,57 @@ TEST(TiledQr, UnwrittenReflectorTilesAreNeverRead) {
       opts.workers = workers;
       expect_same(TiledQrFactorization<double>::factor(a, b, opts).solve(c),
                   x, where + " factor().solve");
+    }
+  }
+}
+
+TEST(TiledQr, RSinkEqualsUpperTriangleBitwise) {
+  // The R sink stores each R-block tile from its last writer inside the
+  // graph. Pre-filled with NaN, so an element no store writes cannot compare
+  // equal, it must match upper_triangle of the finished planes bit for bit:
+  // every elimination tree, sequential and on 4 workers, padded rows and
+  // columns, a single tile row, a sink of the whole padded R and one
+  // clipped to the caller's columns, fp64 planes and fp32 planes widened
+  // into the fp64 sink.
+  const int b = 8;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto round_up = [&](index_t x) { return (x + b - 1) / b * b; };
+  for (const auto& [m, n] : std::vector<std::pair<index_t, index_t>>{
+           {5 * b, 3 * b}, {37, 21}, {b, b}, {7, 5}}) {
+    const Matrix<double> a = Matrix<double>::random(m, n, 64);
+    const index_t pr = round_up(m), pc = round_up(n);
+    for (const dag::Elimination elim :
+         {dag::Elimination::kTs, dag::Elimination::kTt,
+          dag::Elimination::kHier}) {
+      const dag::TaskGraph g =
+          dag::build_tiled_qr_graph(pr / b, pc / b, elim, 2);
+      for (const int workers : {1, 4}) {
+        for (const index_t rn : {pc, n}) {
+          const std::string where =
+              std::to_string(m) + "x" + std::to_string(n) + " " +
+              dag::elimination_name(elim) + " workers " +
+              std::to_string(workers) + " sink " + std::to_string(rn);
+          Matrix<double> r64(rn, rn), r32(rn, rn);
+          r64.view().fill(nan);
+          r32.view().fill(nan);
+          QrTaskRunner<double> run64(g, a.view(),
+                                     QrPlanes<double>(pr, pc, b, elim), 0,
+                                     r64.view());
+          QrTaskRunner<float, double> run32(
+              g, a.view(), QrPlanes<float>(pr, pc, b, elim), 0, r32.view());
+          run64.run_all(workers);
+          run32.run_all(workers);
+          const Matrix<double> ref64 = run64.planes().a.upper_triangle(rn);
+          const Matrix<float> ref32 = run32.planes().a.upper_triangle(rn);
+          for (index_t j = 0; j < rn; ++j)
+            for (index_t i = 0; i < rn; ++i) {
+              ASSERT_EQ(r64(i, j), ref64(i, j))
+                  << where << ": fp64 R differs at " << i << "," << j;
+              ASSERT_EQ(r32(i, j), static_cast<double>(ref32(i, j)))
+                  << where << ": fp32 R differs at " << i << "," << j;
+            }
+        }
+      }
     }
   }
 }

@@ -27,6 +27,14 @@ JobSpec spec_for(la::index_t rows, la::index_t cols, std::uint64_t seed,
   return spec;
 }
 
+std::uint64_t counter(const QrService& service, const char* name) {
+  return service.metrics().counters.at(name);
+}
+
+double pooled(const QrService& service) {
+  return service.metrics().gauges.at("workspace.pooled");
+}
+
 bool upper_triangular(const la::Matrix<double>& r) {
   for (la::index_t i = 0; i < r.rows(); ++i)
     for (la::index_t j = 0; j < i && j < r.cols(); ++j)
@@ -170,6 +178,114 @@ TEST(QrService, ColdConfigDisablesCacheAndReuse) {
   EXPECT_FALSE(b.plan_cache_hit);
   const auto s = service.stats();
   EXPECT_EQ(s.plan_cache.hits, 0u);
+  // No plane reuse either: each job allocates its own planes and frees
+  // them, so the pool stays empty.
+  EXPECT_EQ(counter(service, "workspace.allocated"), 2u);
+  EXPECT_EQ(counter(service, "workspace.reused"), 0u);
+  EXPECT_EQ(pooled(service), 0.0);
+}
+
+TEST(QrService, ReusedPlanesGiveBitwiseSameR) {
+  // Job B on the planes job A (same shape, different data) left behind must
+  // give the same R, bit for bit, as job B on fresh planes: no byte of an
+  // earlier job is ever read. Both precisions, every verify tier, a padded
+  // shape.
+  for (const Precision precision : {Precision::kFp64, Precision::kFp32}) {
+    for (const Verify verify :
+         {Verify::kNone, Verify::kScan, Verify::kProbe, Verify::kFull}) {
+      auto spec = [&](std::uint64_t seed) {
+        JobSpec s = spec_for(300, 200, seed, false);
+        s.precision = precision;
+        s.verify = verify;
+        return s;
+      };
+      const std::string where =
+          std::string(to_string(precision)) + " " + to_string(verify);
+      QrService fresh;
+      const auto b_fresh = fresh.submit(spec(2)).get();
+      QrService warm;
+      const auto a_first = warm.submit(spec(1)).get();
+      const auto b_warm = warm.submit(spec(2)).get();
+      ASSERT_EQ(a_first.status, JobStatus::kOk) << where << a_first.error;
+      ASSERT_EQ(b_fresh.status, JobStatus::kOk) << where << b_fresh.error;
+      ASSERT_EQ(b_warm.status, JobStatus::kOk) << where << b_warm.error;
+      EXPECT_EQ(counter(warm, "workspace.reused"), 1u) << where;
+      ASSERT_EQ(b_warm.r.rows(), 200) << where;
+      for (la::index_t j = 0; j < 200; ++j)
+        for (la::index_t i = 0; i < 200; ++i)
+          ASSERT_EQ(b_warm.r(i, j), b_fresh.r(i, j))
+              << where << ": R differs at " << i << "," << j;
+    }
+  }
+}
+
+TEST(QrService, SameShapeJobsReusePlanesUpToLanes) {
+  // N sequential jobs of one shape allocate planes once; the pool keeps at
+  // most one set per lane, matched exactly on shape, evicting the oldest.
+  ServiceConfig config;
+  config.lanes = 2;
+  QrService service(config);
+  const int n = 5;
+  for (int k = 0; k < n; ++k) {
+    ASSERT_EQ(service.submit(spec_for(128, 64, 300 + k, false)).get().status,
+              JobStatus::kOk);
+    EXPECT_EQ(pooled(service), 1.0);  // returned before the future resolved
+  }
+  EXPECT_EQ(counter(service, "workspace.allocated"), 1u);
+  EXPECT_EQ(counter(service, "workspace.reused"), std::uint64_t{n - 1});
+
+  // Two more shapes (fp32 counts as its own shape) push the first one out.
+  JobSpec fp32 = spec_for(128, 64, 310, false);
+  fp32.precision = Precision::kFp32;
+  ASSERT_EQ(service.submit(std::move(fp32)).get().status, JobStatus::kOk);
+  ASSERT_EQ(service.submit(spec_for(96, 96, 311, false)).get().status,
+            JobStatus::kOk);
+  EXPECT_EQ(pooled(service), 2.0);
+  ASSERT_EQ(service.submit(spec_for(128, 64, 312, false)).get().status,
+            JobStatus::kOk);
+  EXPECT_EQ(counter(service, "workspace.allocated"), 4u);
+  ASSERT_EQ(service.submit(spec_for(96, 96, 313, false)).get().status,
+            JobStatus::kOk);
+  EXPECT_EQ(counter(service, "workspace.allocated"), 4u);
+  EXPECT_EQ(counter(service, "workspace.reused"), std::uint64_t{n});
+
+  // Concurrent jobs of one shape leave at most `lanes` sets behind.
+  std::vector<std::future<JobResult>> futures;
+  for (int k = 0; k < 6; ++k)
+    futures.push_back(service.submit(spec_for(64, 64, 320 + k, false)));
+  for (auto& f : futures) ASSERT_EQ(f.get().status, JobStatus::kOk);
+  EXPECT_LE(pooled(service), 2.0);
+}
+
+TEST(QrService, FailedAttemptsNeverPoolPlanes) {
+  // Only a kOk attempt hands its planes back: a failed, cancelled or
+  // corrupted one frees them, so the next job of the shape allocates.
+  for (const FaultConfig::Mode mode :
+       {FaultConfig::Mode::kThrow, FaultConfig::Mode::kStall,
+        FaultConfig::Mode::kCorrupt}) {
+    ServiceConfig config;
+    config.lanes = 1;
+    config.fault.mode = mode;
+    config.fault.max_injections = 1;
+    config.fault.stall_s = 5.0;
+    if (mode != FaultConfig::Mode::kCorrupt) config.fault.task = 0;
+    QrService service(config);
+    JobSpec bad = spec_for(96, 96, 330, false);
+    bad.verify = Verify::kScan;
+    bad.exec_deadline_s = 0.05;
+    const JobStatus expected =
+        mode == FaultConfig::Mode::kThrow   ? JobStatus::kFailed
+        : mode == FaultConfig::Mode::kStall ? JobStatus::kCancelled
+                                            : JobStatus::kCorrupted;
+    const auto r = service.submit(std::move(bad)).get();
+    EXPECT_EQ(r.status, expected) << r.error;
+    EXPECT_EQ(pooled(service), 0.0);
+    const auto next = service.submit(spec_for(96, 96, 331, false)).get();
+    ASSERT_EQ(next.status, JobStatus::kOk) << next.error;
+    EXPECT_EQ(counter(service, "workspace.allocated"), 2u);
+    EXPECT_EQ(counter(service, "workspace.reused"), 0u);
+    EXPECT_EQ(pooled(service), 1.0);
+  }
 }
 
 TEST(QrService, DestructorDrainsAcceptedJobs) {
